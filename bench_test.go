@@ -19,8 +19,8 @@ import (
 	"handsfree/internal/nn"
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plancache"
+	"handsfree/internal/planspace"
 	"handsfree/internal/query"
-	"handsfree/internal/rejoin"
 	"handsfree/internal/rl"
 	"handsfree/internal/sketch"
 )
@@ -251,15 +251,12 @@ func BenchmarkSimulatedLatency(b *testing.B) {
 
 // BenchmarkExecutorHashJoin measures really executing a two-way hash join.
 func BenchmarkExecutorHashJoin(b *testing.B) {
-	sys, err := Open(Config{Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
+	svc, sys := testSystem(b)
 	q, err := ParseSQL(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE mc.movie_id = t.id`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	planned, err := sys.Plan(q)
+	planned, err := svc.ExpertPlan(context.Background(), q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,12 +429,10 @@ func benchCollect(b *testing.B, workers int) {
 		}
 		queries = append(queries, q)
 	}
-	space := l.Space(8)
-	env := rejoin.NewEnv(space, l.Planner, queries, 1)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
+	env, agent := benchJoinOrderAgent(l, 8, queries, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.TrainEpisodes(16, workers)
+		planspace.Train(context.Background(), env, agent, 16, workers, nil)
 	}
 }
 
@@ -475,15 +470,14 @@ func benchActorCollect(b *testing.B, actors int, async bool) {
 		}
 		queries = append(queries, q)
 	}
-	env := rejoin.NewEnv(l.Space(8), l.Planner, queries, 1)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
+	env, agent := benchJoinOrderAgent(l, 8, queries, nil)
 	const episodes = 48
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if async {
-			agent.TrainAsync(episodes, rl.AsyncConfig{Actors: actors, Staleness: 4})
+			planspace.TrainAsync(env, agent, episodes, rl.AsyncConfig{Actors: actors, Staleness: 4}, nil)
 		} else {
-			agent.TrainEpisodes(episodes, actors)
+			planspace.Train(context.Background(), env, agent, episodes, actors, nil)
 		}
 	}
 	b.StopTimer()
@@ -507,29 +501,43 @@ func benchWorkload(b *testing.B, l *experiment.Lab) []*query.Query {
 	return queries
 }
 
+// benchJoinOrderAgent builds ReJOIN's join-order MDP (planspace at
+// StagePrefix(1)) over queries, optionally sharing a plan cache, with the
+// bench learner (128-64 hidden, batch 16, seed 1).
+func benchJoinOrderAgent(l *experiment.Lab, maxRels int, queries []*query.Query, cache *plancache.Cache) (*planspace.Env, *rl.Reinforce) {
+	env := planspace.NewEnv(planspace.Config{
+		Space:   l.Space(maxRels),
+		Stages:  planspace.StagePrefix(1),
+		Planner: l.Planner,
+		Queries: queries,
+		Cache:   cache,
+		Seed:    1,
+	})
+	return env, rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
+}
+
 // benchCacheCollect measures repeated-workload episode collection under a
 // frozen policy — the serving/evaluation regime the paper's latency-centric
 // loop converges to, where every sweep replays the same workload queries.
 // Each iteration collects one greedy episode per workload query. With the
-// cache, the second and later sweeps are whole-plan fingerprint hits that
-// skip both the policy rollout and the optimizer completion.
+// cache, the second and later sweeps find each query's (unchanged) learned
+// join order already completed, so only the policy rollout is paid.
 func benchCacheCollect(b *testing.B, withCache bool) {
 	l := lab(b)
 	queries := benchWorkload(b, l)
-	env := rejoin.NewEnv(l.Space(8), l.Planner, queries, 1)
 	var cache *plancache.Cache
 	if withCache {
 		cache = plancache.New(plancache.Config{Capacity: 1 << 16, Shards: 16})
-		env.UseCache(cache)
 	}
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
+	env, agent := benchJoinOrderAgent(l, 8, queries, cache)
+	ctx := context.Background()
 	for _, q := range queries { // warm-up sweep (run for the cold baseline too, for parity)
-		agent.GreedyPlan(q)
+		env.GreedyRollout(ctx, q, agent.Greedy)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if root, _ := agent.GreedyPlan(q); root == nil {
+			if out, _ := env.GreedyRollout(ctx, q, agent.Greedy); out.Plan == nil {
 				b.Fatal("no plan")
 			}
 		}
@@ -564,17 +572,16 @@ func BenchmarkColdCollect(b *testing.B) {
 func benchCacheTrainingCollect(b *testing.B, withCache bool, minAdmit float64) {
 	l := lab(b)
 	queries := benchWorkload(b, l)
-	env := rejoin.NewEnv(l.Space(8), l.Planner, queries, 1)
 	var cache *plancache.Cache
 	if withCache {
 		cache = plancache.New(plancache.Config{Capacity: 1 << 16, Shards: 16, MinAdmitCost: minAdmit})
-		env.UseCache(cache)
 	}
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
-	agent.TrainEpisodes(16, 4) // warm-up sweep (also for the cold baseline)
+	env, agent := benchJoinOrderAgent(l, 8, queries, cache)
+	ctx := context.Background()
+	planspace.Train(ctx, env, agent, 16, 4, nil) // warm-up sweep (also for the cold baseline)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.TrainEpisodes(16, 4)
+		planspace.Train(ctx, env, agent, 16, 4, nil)
 	}
 	if withCache {
 		b.StopTimer()
@@ -677,12 +684,11 @@ func BenchmarkPolicyInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	space := l.Space(10)
-	env := rejoin.NewEnv(space, l.Planner, []*query.Query{q}, 1)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, Seed: 1})
+	env, agent := benchJoinOrderAgent(l, 10, []*query.Query{q}, nil)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if node, _ := agent.GreedyPlan(q); node == nil {
+		if out, _ := env.GreedyRollout(ctx, q, agent.Greedy); out.Plan == nil {
 			b.Fatal("no plan")
 		}
 	}
@@ -850,10 +856,7 @@ func BenchmarkServicePlanConcurrent(b *testing.B) {
 // frequency sketch, and a value reservoir, plus one whole-row sample per
 // table. Metric: analyzed rows/sec.
 func BenchmarkSketchAnalyze(b *testing.B) {
-	sys, err := Open(Config{Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, sys := testSystem(b)
 	var rows float64
 	for _, tab := range sys.DB.Store.Tables {
 		rows += float64(tab.N)
@@ -922,10 +925,7 @@ func BenchmarkApproxCount(b *testing.B) {
 // perfect) for the sketch-backed estimator and the histogram estimator —
 // the planning-quality basis behind the sketch-parity acceptance test.
 func BenchmarkSketchEstimatorQError(b *testing.B) {
-	sys, err := Open(Config{Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, sys := testSystem(b)
 	qs, err := sys.Workload.Training(16, 2, 5, 7)
 	if err != nil {
 		b.Fatal(err)

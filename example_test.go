@@ -63,15 +63,19 @@ func ExampleService() {
 	// safeguard holds: true
 }
 
-// ExampleOpen builds the synthetic substrate and plans a SQL query with the
-// traditional optimizer.
-func ExampleOpen() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+// ExampleService_ExpertPlan builds the synthetic substrate and plans a SQL
+// query with the traditional optimizer alone.
+func ExampleService_ExpertPlan() {
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		panic(err)
 	}
-	planned, err := sys.PlanSQL(`SELECT COUNT(*) FROM title t, movie_companies mc
+	q, err := handsfree.ParseSQL(`SELECT COUNT(*) FROM title t, movie_companies mc
 		WHERE mc.movie_id = t.id AND t.production_year > 50`)
+	if err != nil {
+		panic(err)
+	}
+	planned, err := svc.ExpertPlan(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}
@@ -84,18 +88,18 @@ func ExampleOpen() {
 	// positive cost: true
 }
 
-// ExampleSystem_NewReJOINAgent trains the paper's §3 join-order enumerator
+// ExampleService_NewReJOINAgent trains the paper's §3 join-order enumerator
 // for a few episodes and plans a workload query with the learned policy.
-func ExampleSystem_NewReJOINAgent() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+func ExampleService_NewReJOINAgent() {
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		panic(err)
 	}
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
+	queries, err := svc.System().Workload.Training(4, 4, 5, 3)
 	if err != nil {
 		panic(err)
 	}
-	agent, err := sys.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	agent, err := svc.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		panic(err)
 	}
@@ -112,18 +116,18 @@ func ExampleSystem_NewReJOINAgent() {
 // memoizes optimizer completions, so every repetition of a workload query
 // after the first is served (fully or partially) from cache.
 func ExampleConfig_cache() {
-	sys, err := handsfree.Open(handsfree.Config{
-		Scale: 0.05,
-		Cache: handsfree.CacheConfig{Enabled: true, Capacity: 4096},
-	})
+	svc, err := handsfree.New(
+		handsfree.WithScale(0.05),
+		handsfree.WithCache(handsfree.CacheConfig{Capacity: 4096}),
+	)
 	if err != nil {
 		panic(err)
 	}
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
+	queries, err := svc.System().Workload.Training(4, 4, 5, 3)
 	if err != nil {
 		panic(err)
 	}
-	agent, err := sys.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	agent, err := svc.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		panic(err)
 	}
@@ -132,7 +136,7 @@ func ExampleConfig_cache() {
 	agent.TrainParallel(16, 2)
 	agent.TrainParallel(16, 2)
 
-	st := sys.CacheStats()
+	st := svc.CacheStats()
 	fmt.Println("cache used:", st.Puts > 0)
 	fmt.Println("repeated queries hit:", st.Hits > 0)
 	fmt.Println("bounded:", st.Size <= 4096)

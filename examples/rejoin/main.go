@@ -14,10 +14,11 @@ import (
 )
 
 func main() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys := svc.System()
 
 	// A continuous workload of 4–6 relation queries (an episode per query,
 	// repeating — exactly the paper's training loop).
@@ -26,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	agent, err := sys.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 7})
+	agent, err := svc.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,11 +19,13 @@
 //     fine-tune on latency (§5.2 Phase 2) — hot-swapping policy snapshots
 //     while serving continues.
 //   - ParseSQL turns SQL text into the query IR.
+//   - Service.NewReJOINAgent builds the paper's §3 join-order enumerator
+//     for direct training and planning, on the same plan-space MDP the
+//     service serves from.
+//   - Service.System exposes the substrate (database, statistics, planner,
+//     executor, workload generators) for code that needs direct access.
 //   - The internal/experiment package (exposed through cmd/handsfree)
 //     regenerates every figure of the paper.
-//
-// The pre-service API (Open, System.Plan, System.NewReJOINAgent) remains as
-// thin deprecated wrappers delegating to the same machinery.
 //
 // See README.md for an overview and ARCHITECTURE.md for the layer stack,
 // the data flow of the batched + cached training loop, and the service
@@ -47,8 +49,8 @@ import (
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
+	"handsfree/internal/planspace"
 	"handsfree/internal/query"
-	"handsfree/internal/rejoin"
 	"handsfree/internal/rl"
 	"handsfree/internal/sketch"
 	"handsfree/internal/sqlparse"
@@ -186,7 +188,7 @@ type CacheConfig struct {
 	MinAdmitCost float64
 }
 
-// Config controls Open.
+// Config is the substrate configuration New's options assemble.
 type Config struct {
 	// Seed drives data generation (default 1).
 	Seed int64
@@ -265,7 +267,7 @@ type System struct {
 	// sketchOnce guards the lazily built sketch store: exact-stats systems
 	// only pay the one-pass analysis when something asks for sketches
 	// (approximate execution, or an explicit Sketches call); sketch-stats
-	// systems build them at Open because the cost model reads them.
+	// systems build them at New because the cost model reads them.
 	sketchOnce sync.Once
 	sketches   *sketch.Store
 	sketchEst  *sketch.Estimator
@@ -276,9 +278,6 @@ type System struct {
 	// plan-cache dumps carry it so a dump can never warm a differently
 	// built system.
 	cacheTag uint64
-	// svc is the owning Service: every System is built through New, and the
-	// deprecated System entry points delegate to it.
-	svc *Service
 }
 
 // buildSketches analyzes the stored tables into the sketch store, once.
@@ -336,22 +335,8 @@ func systemTag(cfg Config) uint64 {
 	return h
 }
 
-// Open generates the synthetic database and assembles the system.
-//
-// Deprecated: Open is the pre-service entry point, retained as a thin
-// wrapper that builds a Service and returns its System view. New code
-// should call New with functional options and use the request-scoped,
-// safeguarded Service API.
-func Open(cfg Config) (*System, error) {
-	svc, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return svc.System(), nil
-}
-
 // openSystem generates the synthetic database and assembles the substrate
-// bundle (the construction behind New and, through it, Open).
+// bundle (the construction behind New).
 func openSystem(cfg Config) (*System, error) {
 	cfg.fill()
 	db, err := datagen.Generate(datagen.Config{Seed: cfg.Seed, Scale: cfg.Scale})
@@ -430,47 +415,10 @@ func ParseSQL(sql string) (*Query, error) {
 	return sqlparse.Parse(sql)
 }
 
-// Plan optimizes a query with the traditional optimizer (Selinger DP up to
-// 12 relations, GEQO-style randomized search beyond).
-//
-// Deprecated: use Service.Plan for safeguarded serving or
-// Service.ExpertPlan for a request-scoped expert plan; this wrapper
-// delegates to the owning service's expert path with a background context.
-func (s *System) Plan(q *Query) (Planned, error) {
-	if s.svc != nil {
-		return s.svc.ExpertPlan(context.Background(), q)
-	}
-	return s.Planner.Plan(q)
-}
-
-// PlanSQL parses and optimizes SQL text.
-//
-// Deprecated: use Service.PlanSQL; see System.Plan.
-func (s *System) PlanSQL(sql string) (Planned, error) {
-	q, err := ParseSQL(sql)
-	if err != nil {
-		return Planned{}, err
-	}
-	return s.Plan(q)
-}
-
 // Execute runs a physical plan on the columnar engine, returning the result
 // and the deterministic work accounting.
 func (s *System) Execute(q *Query, root PlanNode) (*Result, *Work, error) {
 	return s.Engine.Execute(q, root)
-}
-
-// SimulateLatency returns the simulated execution latency (milliseconds) of
-// a plan on the "production" system — true cardinalities, hardware-truth
-// constants, seeded noise.
-//
-// Deprecated: SimulateLatency is the analytic simulator; it predicts, it
-// does not observe, so injected faults and real engine behavior never reach
-// it. Use Service.Execute, which runs the plan and feeds the observed
-// latency into the guard and drift machinery. Retained for the
-// simulator-driven experiments.
-func (s *System) SimulateLatency(q *Query, root PlanNode) float64 {
-	return s.Latency.Latency(q, root)
 }
 
 // ExplainPlan renders a plan tree in EXPLAIN style.
@@ -478,9 +426,13 @@ func ExplainPlan(root PlanNode) string {
 	return plan.Format(root)
 }
 
-// ReJOINAgent is the §3 learned join-order enumerator.
+// ReJOINAgent is the §3 learned join-order enumerator: a policy over the
+// plan-space MDP restricted to join ordering (planspace.StagePrefix(1)),
+// whose learned join orders the traditional optimizer completes into
+// physical plans.
 type ReJOINAgent struct {
-	agent *rejoin.Agent
+	env     *planspace.Env
+	learner *rl.Reinforce
 }
 
 // ReJOINConfig sizes a ReJOIN agent.
@@ -500,33 +452,15 @@ type ReJOINConfig struct {
 	Seed   int64
 }
 
-// NewReJOINAgent builds a ReJOIN agent over a training workload. Queries
-// must not exceed cfg.MaxRelations relations.
-//
-// Deprecated: this wrapper delegates to Service.NewReJOINAgent; prefer the
-// Service lifecycle (StartTraining) for hands-free training, or
-// Service.NewReJOINAgent for direct §3-style agent control.
-func (s *System) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
-	if s.svc != nil {
-		return s.svc.NewReJOINAgent(queries, cfg)
-	}
-	return newReJOINAgent(s, queries, cfg)
-}
-
 // NewReJOINAgent builds the paper's §3 join-order enumerator over a
 // training workload. Queries must not exceed cfg.MaxRelations relations.
 // The agent is independent of the service lifecycle: it trains its own
 // policy and is planned with directly (ReJOINAgent.Plan / PlanCtx).
 func (s *Service) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
-	return newReJOINAgent(s.sys, queries, cfg)
-}
-
-func newReJOINAgent(sys *System, queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
+	sys := s.sys
 	if cfg.MaxRelations == 0 {
 		for _, q := range queries {
-			if len(q.Relations) > cfg.MaxRelations {
-				cfg.MaxRelations = len(q.Relations)
-			}
+			cfg.MaxRelations = max(cfg.MaxRelations, len(q.Relations))
 		}
 	}
 	for _, q := range queries {
@@ -548,31 +482,41 @@ func newReJOINAgent(sys *System, queries []*Query, cfg ReJOINConfig) (*ReJOINAge
 	if eng == EngineAuto {
 		eng = sys.Compute
 	}
-	space := featurize.NewSpace(cfg.MaxRelations, sys.cardEstimator())
-	env := rejoin.NewEnv(space, sys.Planner, queries, cfg.Seed)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
+	env := planspace.NewEnv(planspace.Config{
+		Space:   featurize.NewSpace(cfg.MaxRelations, sys.cardEstimator()),
+		Stages:  planspace.StagePrefix(1),
+		Planner: sys.Planner,
+		Queries: queries,
+		Seed:    cfg.Seed,
+	})
+	learner := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
 		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Precision: prec, Engine: eng, Seed: cfg.Seed,
 	})
-	return &ReJOINAgent{agent: agent}, nil
+	return &ReJOINAgent{env: env, learner: learner}, nil
 }
 
 // TrainEpisode runs one learning episode (one query) and returns the cost
 // of the plan the agent produced.
 func (a *ReJOINAgent) TrainEpisode() float64 {
-	return a.agent.TrainEpisode().Cost
+	a.Train(1)
+	return a.env.Last.Cost
 }
 
 // Train runs n learning episodes sequentially.
 func (a *ReJOINAgent) Train(n int) {
-	a.agent.TrainEpisodes(n, 1)
+	a.TrainParallel(n, 1)
 }
 
 // TrainParallel runs n learning episodes collected by `workers` concurrent
 // environment replicas stepping frozen policy snapshots. Trajectories merge
 // deterministically, so training remains reproducible for a fixed seed and
 // worker count; use runtime.NumCPU() workers to saturate the machine.
+// Successive calls draw fresh snapshot seeds, never replaying an earlier
+// call's sampling streams.
 func (a *ReJOINAgent) TrainParallel(n, workers int) {
-	a.agent.TrainEpisodes(n, workers)
+	// Train fails only on cancellation, which a background context never
+	// signals.
+	_ = planspace.Train(context.Background(), a.env, a.learner, n, workers, nil)
 }
 
 // TrainAsync runs n learning episodes with the asynchronous actor-learner
@@ -583,18 +527,20 @@ func (a *ReJOINAgent) TrainParallel(n, workers int) {
 // trained weights — is scheduling-dependent; use TrainParallel when bitwise
 // reproducibility matters.
 func (a *ReJOINAgent) TrainAsync(n int, cfg AsyncConfig) {
-	a.agent.TrainAsync(n, cfg)
+	planspace.TrainAsync(a.env, a.learner, n, cfg, nil)
 }
 
 // Plan produces the trained agent's (greedy) plan for a query along with
 // its optimizer cost.
 func (a *ReJOINAgent) Plan(q *Query) (PlanNode, float64) {
-	return a.agent.GreedyPlan(q)
+	node, c, _ := a.PlanCtx(context.Background(), q)
+	return node, c
 }
 
 // PlanCtx is Plan under a request-scoped context: the greedy rollout checks
 // ctx before every policy decision, so a deadline or cancellation cuts the
-// search off mid-episode and returns ctx.Err().
+// search off mid-episode and returns ctx.Err() with a nil plan.
 func (a *ReJOINAgent) PlanCtx(ctx context.Context, q *Query) (PlanNode, float64, error) {
-	return a.agent.GreedyPlanCtx(ctx, q)
+	out, err := a.env.GreedyRollout(ctx, q, a.learner.Greedy)
+	return out.Plan, out.Cost, err
 }

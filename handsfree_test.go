@@ -2,23 +2,26 @@ package handsfree
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
-func testSystem(t *testing.T) *System {
+// testSystem builds a small service (scale 0.05 plus opts) and returns it
+// with its substrate.
+func testSystem(t testing.TB, opts ...Option) (*Service, *System) {
 	t.Helper()
-	sys, err := Open(Config{Scale: 0.05})
+	svc, err := New(append([]Option{WithScale(0.05)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return svc, svc.System()
 }
 
-func TestOpenDefaults(t *testing.T) {
-	sys := testSystem(t)
+func TestNewDefaults(t *testing.T) {
+	_, sys := testSystem(t)
 	if sys.DB == nil || sys.Planner == nil || sys.Latency == nil || sys.Engine == nil {
-		t.Fatal("Open left components nil")
+		t.Fatal("New left components nil")
 	}
 	if n := sys.DB.Catalog.NumTables(); n != 21 {
 		t.Fatalf("catalog has %d tables, want 21", n)
@@ -26,8 +29,8 @@ func TestOpenDefaults(t *testing.T) {
 }
 
 func TestPlanSQLEndToEnd(t *testing.T) {
-	sys := testSystem(t)
-	planned, err := sys.PlanSQL(`SELECT COUNT(*) FROM title t, movie_companies mc
+	svc, _ := testSystem(t)
+	planned, err := svc.PlanSQL(context.Background(), `SELECT COUNT(*) FROM title t, movie_companies mc
 		WHERE mc.movie_id = t.id AND t.production_year > 50`)
 	if err != nil {
 		t.Fatal(err)
@@ -35,19 +38,19 @@ func TestPlanSQLEndToEnd(t *testing.T) {
 	if planned.Cost <= 0 {
 		t.Fatalf("cost %v", planned.Cost)
 	}
-	explain := ExplainPlan(planned.Root)
+	explain := ExplainPlan(planned.Plan)
 	if !strings.Contains(explain, "title") || !strings.Contains(explain, "movie_companies") {
 		t.Fatalf("explain output missing relations:\n%s", explain)
 	}
 }
 
 func TestExecuteMatchesPlanShape(t *testing.T) {
-	sys := testSystem(t)
+	svc, sys := testSystem(t)
 	q, err := ParseSQL(`SELECT COUNT(*) FROM title t WHERE t.production_year > 100`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := sys.Plan(q)
+	planned, err := svc.ExpertPlan(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,27 +66,13 @@ func TestExecuteMatchesPlanShape(t *testing.T) {
 	}
 }
 
-func TestSimulateLatencyPositiveAndDeterministic(t *testing.T) {
-	sys := testSystem(t)
-	q := sys.Workload.MustNamed("1a")
-	planned, err := sys.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1 := sys.SimulateLatency(q, planned.Root)
-	l2 := sys.SimulateLatency(q, planned.Root)
-	if l1 <= 0 || l1 != l2 {
-		t.Fatalf("latency %v / %v", l1, l2)
-	}
-}
-
 func TestReJOINAgentAPI(t *testing.T) {
-	sys := testSystem(t)
+	svc, sys := testSystem(t)
 	queries, err := sys.Workload.Training(4, 4, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +84,12 @@ func TestReJOINAgentAPI(t *testing.T) {
 }
 
 func TestReJOINAgentRejectsOversizedQueries(t *testing.T) {
-	sys := testSystem(t)
+	svc, sys := testSystem(t)
 	queries, err := sys.Workload.Training(2, 6, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.NewReJOINAgent(queries, ReJOINConfig{MaxRelations: 4, Seed: 1}); err == nil {
+	if _, err := svc.NewReJOINAgent(queries, ReJOINConfig{MaxRelations: 4, Seed: 1}); err == nil {
 		t.Fatal("agent accepted queries above MaxRelations")
 	}
 }
@@ -112,12 +101,12 @@ func TestParseSQLErrors(t *testing.T) {
 }
 
 func TestReJOINAgentTrainAsync(t *testing.T) {
-	sys := testSystem(t)
+	svc, sys := testSystem(t)
 	queries, err := sys.Workload.Training(4, 4, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +118,7 @@ func TestReJOINAgentTrainAsync(t *testing.T) {
 }
 
 func TestPrecisionKnobThreadsToAgents(t *testing.T) {
-	sys, err := Open(Config{Scale: 0.05, Precision: F32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, sys := testSystem(t, WithPrecision(F32))
 	if sys.Precision != F32 {
 		t.Fatalf("system precision %v, want f32", sys.Precision)
 	}
@@ -141,7 +127,7 @@ func TestPrecisionKnobThreadsToAgents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Agent inherits the system-wide precision…
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{16}})
+	agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +136,7 @@ func TestPrecisionKnobThreadsToAgents(t *testing.T) {
 		t.Fatalf("f32 agent produced plan=%v cost=%v", node, cost)
 	}
 	// …and a per-agent override beats it.
-	f64agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{16}, Precision: F64})
+	f64agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{16}, Precision: F64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +147,13 @@ func TestPrecisionKnobThreadsToAgents(t *testing.T) {
 }
 
 func TestPlanCacheWarmStartAPI(t *testing.T) {
-	cold, err := Open(Config{Scale: 0.05, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	coldSvc, cold := testSystem(t, WithCache(CacheConfig{}))
 	q, err := cold.Workload.ByRelations(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.Plan(q); err != nil {
+	if _, err := coldSvc.ExpertPlan(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -177,10 +161,7 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := Open(Config{Scale: 0.05, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmSvc, warm := testSystem(t, WithCache(CacheConfig{}))
 	restored, err := warm.LoadPlanCache(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +173,7 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.Plan(q2); err != nil {
+	if _, err := warmSvc.ExpertPlan(ctx, q2); err != nil {
 		t.Fatal(err)
 	}
 	st := warm.CacheStats()
@@ -201,7 +182,7 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 	}
 
 	// Cache disabled → explicit errors, not nil panics.
-	bare := testSystem(t)
+	_, bare := testSystem(t)
 	if err := bare.SavePlanCache(&buf); err == nil {
 		t.Fatal("SavePlanCache succeeded without a cache")
 	}
@@ -211,15 +192,12 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 }
 
 func TestLoadPlanCacheRejectsDifferentSystem(t *testing.T) {
-	src, err := Open(Config{Scale: 0.05, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srcSvc, src := testSystem(t, WithCache(CacheConfig{}))
 	q, err := src.Workload.ByRelations(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Plan(q); err != nil {
+	if _, err := srcSvc.ExpertPlan(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -228,10 +206,7 @@ func TestLoadPlanCacheRejectsDifferentSystem(t *testing.T) {
 	}
 	// A differently scaled system computes different plans/costs for the
 	// same fingerprints: the dump must be refused, not silently served.
-	other, err := Open(Config{Scale: 0.1, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, other := testSystem(t, WithScale(0.1), WithCache(CacheConfig{}))
 	if _, err := other.LoadPlanCache(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("plan-cache dump from a different system configuration loaded without error")
 	}

@@ -145,10 +145,8 @@ type Config struct {
 	// rl.AsyncConfig.AdaptStaleness). Ignored unless Async.
 	AdaptStaleness bool
 	// Cache, when non-nil, memoizes optimizer completions and expert plans
-	// across episodes and phases (the plan cache service). Completion
-	// entries are pure and survive phase transitions; policy-dependent
-	// entries are invalidated whenever the policy is transferred to a new
-	// action space or fresh collection snapshots are taken.
+	// across episodes and phases (the plan cache service). Every entry is
+	// pure, so the cache survives phase transitions.
 	Cache *plancache.Cache
 	Seed  int64
 }
@@ -237,13 +235,18 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 		// recorded under the old action space must be dropped.
 		t.agent.ResetBatch()
 		t.agent.Policy = planspace.TransferPolicy(t.agent.Policy, t.Cfg.Space, t.stages, p.Stages, t.rng)
-		// The transferred policy is a new policy: invalidate any plans
-		// memoized under the old one.
-		t.Cfg.Cache.BumpEpoch()
 	}
 	t.stages = p.Stages
 	t.env = env
 
+	// The learner persists across phases, and every parallel round and
+	// async run draws its sampling seeds from the learner's SnapshotSeed
+	// counter, so no phase replays an earlier phase's streams.
+	record := func(i int, rec planspace.EpisodeRecord) {
+		if onEpisode != nil {
+			onEpisode(episodeBase+i, rec.Out)
+		}
+	}
 	if t.Cfg.Workers > 1 && t.Cfg.Async {
 		// Async actor-learner split: no round barrier; the learner updates
 		// and republishes while actors keep collecting against bounded-
@@ -252,48 +255,12 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 			Actors:         t.Cfg.Workers,
 			Staleness:      t.Cfg.Staleness,
 			AdaptStaleness: t.Cfg.AdaptStaleness,
-			Seed:           t.Cfg.Seed,
-		}, func(i int, rec planspace.EpisodeRecord) {
-			if onEpisode != nil {
-				onEpisode(episodeBase+i, rec.Out)
-			}
-		})
+		}, record)
 		if err := ctx.Err(); err != nil {
 			return PhaseResult{}, err
 		}
-	} else if t.Cfg.Workers > 1 {
-		// Parallel collection: one policy-batch of episodes per round from
-		// frozen policy snapshots, merged deterministically, so the learner
-		// updates exactly as often as in sequential training.
-		collector := planspace.NewCollector(env, t.Cfg.Workers)
-		round := t.agent.Cfg.BatchSize
-		if round < 1 {
-			round = 1
-		}
-		for ep := 0; ep < p.Episodes; {
-			if err := ctx.Err(); err != nil {
-				return PhaseResult{}, err
-			}
-			n := min(round, p.Episodes-ep)
-			for i, rec := range collector.Collect(t.agent, n) {
-				t.agent.Observe(rec.Traj)
-				if onEpisode != nil {
-					onEpisode(episodeBase+ep+i, rec.Out)
-				}
-			}
-			ep += n
-		}
-	} else {
-		for ep := 0; ep < p.Episodes; ep++ {
-			if err := ctx.Err(); err != nil {
-				return PhaseResult{}, err
-			}
-			traj := rl.RunEpisode(env, t.agent.Sample, 4*t.Cfg.Space.MaxRels+8)
-			t.agent.Observe(traj)
-			if onEpisode != nil {
-				onEpisode(episodeBase+ep, env.Last)
-			}
-		}
+	} else if err := planspace.Train(ctx, env, t.agent, p.Episodes, t.Cfg.Workers, record); err != nil {
+		return PhaseResult{}, err
 	}
 
 	ratio, err := t.EvalRatio(queries)
@@ -346,20 +313,8 @@ func (t *Trainer) EvalRatio(queries []*query.Query) (float64, error) {
 
 // GreedyOutcome plans one query with the current greedy policy.
 func (t *Trainer) GreedyOutcome(q *query.Query) planspace.Outcome {
-	env := t.env
-	s := env.ResetTo(q)
-	for !s.Terminal {
-		act := t.agent.Greedy(s)
-		if act < 0 {
-			break
-		}
-		next, _, done := env.Step(act)
-		s = next
-		if done {
-			break
-		}
-	}
-	return env.Last
+	out, _ := t.env.GreedyRollout(context.Background(), q, t.agent.Greedy)
+	return out
 }
 
 // Agent exposes the current policy learner (nil before the first phase).

@@ -1,6 +1,7 @@
 package curriculum
 
 import (
+	"fmt"
 	"testing"
 
 	"handsfree/internal/cost"
@@ -257,5 +258,43 @@ func TestTrainerAsyncWorkers(t *testing.T) {
 	}
 	if tr.Agent() == nil || tr.Agent().Updates == 0 {
 		t.Fatal("async curriculum never updated the policy")
+	}
+}
+
+// TestSuccessivePhasesDrawFreshSeeds: two successive phases with parallel
+// (and async) collection must not replay the previous phase's
+// action-sampling streams. Both phases train the same stages on the same
+// queries and the batch size exceeds the schedule, so the policy is
+// identical across them and their replicas restart on the same queries:
+// only fresh snapshot seeds make the second phase's episodes differ. Async
+// consumption order is scheduling-dependent, so the phases are compared as
+// multisets: a replay shares nearly every episode, fresh streams over 5–6
+// relation queries share almost none.
+func TestSuccessivePhasesDrawFreshSeeds(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		cfg := fixtureCfg(t, 6, 5, 6)
+		cfg.Workers = 2
+		cfg.Async = async
+		cfg.Agent.BatchSize = 256
+		phase := Phase{Name: "join-order", Stages: planspace.StagePrefix(1), Episodes: 16}
+		seen := map[string]int{}
+		shared := 0
+		_, err := NewTrainer(cfg).Run(Schedule{phase, phase}, func(ep int, out planspace.Outcome) {
+			key := fmt.Sprintf("%s:%g", out.Plan.Signature(), out.Cost)
+			if ep < phase.Episodes {
+				seen[key]++
+			} else if seen[key] > 0 {
+				seen[key]--
+				shared++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("async=%v: %d of %d episodes shared across phases", async, shared, phase.Episodes)
+		if shared > phase.Episodes/2 {
+			t.Fatalf("async=%v: the second phase replayed the first phase's sampling streams (%d of %d episodes shared)",
+				async, shared, phase.Episodes)
+		}
 	}
 }

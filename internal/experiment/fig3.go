@@ -1,13 +1,15 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
+	"handsfree/internal/featurize"
 	"handsfree/internal/optimizer"
+	"handsfree/internal/planspace"
 	"handsfree/internal/query"
-	"handsfree/internal/rejoin"
 	"handsfree/internal/rl"
 	"handsfree/internal/workload"
 )
@@ -23,12 +25,7 @@ type Fig3aConfig struct {
 	SamplePoints int
 	// Window smooths the per-episode cost ratios.
 	Window int
-	// Workers > 1 collects training episodes with that many parallel
-	// environment replicas (deterministic merged order); ≤ 1 trains
-	// strictly sequentially, reproducing the historical single-threaded
-	// trajectory exactly.
-	Workers int
-	Seed    int64
+	Seed   int64
 }
 
 // DefaultFig3aConfig mirrors the paper's setup at reproducible scale. The
@@ -71,17 +68,15 @@ func (l *Lab) Fig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 		expert[q.Key()] = planned.Cost
 	}
 
-	space := l.Space(cfg.MaxRel)
-	env := rejoin.NewEnv(space, l.Planner, queries, cfg.Seed)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
+	env := l.joinOrderEnv(l.Space(cfg.MaxRel), queries, false, cfg.Seed)
+	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
 		Hidden: []int{128, 64}, LR: 1e-3, BatchSize: 32, Seed: cfg.Seed,
 	})
 
 	greedyPct := func() float64 {
 		ratios := make([]float64, 0, len(queries))
 		for _, q := range queries {
-			_, c := agent.GreedyPlan(q)
-			ratios = append(ratios, c/expert[q.Key()])
+			ratios = append(ratios, greedyCost(env, agent, q)/expert[q.Key()])
 		}
 		return GeoMean(ratios) * 100
 	}
@@ -100,36 +95,18 @@ func (l *Lab) Fig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 		step = 1
 	}
 	logRatios := make([]float64, cfg.Episodes)
-	if cfg.Workers > 1 {
-		// Parallel collection path: train in chunks of one checkpoint
-		// interval, evaluating the greedy policy between chunks.
-		for ep := 0; ep < cfg.Episodes; {
-			n := step
-			if ep+n > cfg.Episodes {
-				n = cfg.Episodes - ep
-			}
-			for i, res := range agent.TrainEpisodes(n, cfg.Workers) {
-				logRatios[ep+i] = math.Log(res.Cost / expert[res.Query.Key()] * 100)
-			}
-			ep += n
+	err = planspace.Train(context.Background(), env, agent, cfg.Episodes, 1, func(ep int, rec planspace.EpisodeRecord) {
+		logRatios[ep] = math.Log(rec.Out.Cost / expert[rec.Query.Key()] * 100)
+		if ep%step == 0 || ep == cfg.Episodes-1 {
 			g := greedyPct()
-			out.Greedy.Add(float64(ep-1), g)
+			out.Greedy.Add(float64(ep), g)
 			if out.FirstParity < 0 && g <= 120 {
-				out.FirstParity = ep - 1
+				out.FirstParity = ep
 			}
 		}
-	} else {
-		for ep := 0; ep < cfg.Episodes; ep++ {
-			res := agent.TrainEpisode()
-			logRatios[ep] = math.Log(res.Cost / expert[res.Query.Key()] * 100)
-			if ep%step == 0 || ep == cfg.Episodes-1 {
-				g := greedyPct()
-				out.Greedy.Add(float64(ep), g)
-				if out.FirstParity < 0 && g <= 120 {
-					out.FirstParity = ep
-				}
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	smoothLog := MovingAverage(logRatios, cfg.Window)
 	for ep := 0; ep < cfg.Episodes; ep += step {
@@ -190,24 +167,21 @@ func (l *Lab) Fig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 			maxRel = len(q.Relations)
 		}
 	}
-	space := l.Space(maxRel)
 	var qs []*query.Query
 	for _, qn := range queries {
 		qs = append(qs, qn.q)
 	}
-	env := rejoin.NewEnv(space, l.Planner, qs, cfg.Seed)
 	// Cross-product actions are masked here: on 8–11-relation queries a
 	// single cross-product episode costs ~1e6× a good plan, and REINFORCE
 	// at this budget can collapse onto that mode. Follow-up systems to the
-	// paper (Neo, Balsa) mask disconnected joins for the same reason; see
-	// EXPERIMENTS.md.
-	env.DisallowCross = true
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
+	// paper (Neo, Balsa) mask disconnected joins for the same reason.
+	env := l.joinOrderEnv(l.Space(maxRel), qs, true, cfg.Seed)
+	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
 		Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Seed: cfg.Seed,
 		EntropyDecay: 0.995,
 	})
-	for ep := 0; ep < cfg.Episodes; ep++ {
-		agent.TrainEpisode()
+	if err := planspace.Train(context.Background(), env, agent, cfg.Episodes, 1, nil); err != nil {
+		return nil, err
 	}
 
 	res := &Fig3bResult{Table: &Table{
@@ -219,7 +193,7 @@ func (l *Lab) Fig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, rjCost := agent.GreedyPlan(qn.q)
+		rjCost := greedyCost(env, agent, qn.q)
 		ratio := rjCost / planned.Cost
 		res.Table.AddRow(qn.name, fmt.Sprintf("%.0f", planned.Cost), fmt.Sprintf("%.0f", rjCost), fmt.Sprintf("%.3f", ratio))
 		res.Total++
@@ -283,10 +257,10 @@ func (l *Lab) Fig3c(cfg Fig3cConfig) (*Fig3cResult, error) {
 			}
 			pgTotal += planned.Duration
 
-			env := rejoin.NewEnv(space, l.Planner, []*query.Query{q}, cfg.Seed)
-			agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, Seed: cfg.Seed})
+			env := l.joinOrderEnv(space, []*query.Query{q}, false, cfg.Seed)
+			agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{128, 64}, Seed: cfg.Seed})
 			start := time.Now()
-			agent.GreedyPlan(q)
+			greedyCost(env, agent, q)
 			rjTotal += time.Since(start)
 		}
 		res.Postgres.Add(float64(n), float64(pgTotal.Microseconds())/float64(cfg.Repeats)/1000)
@@ -304,4 +278,25 @@ func (r *Fig3cResult) Render() string {
 type queryWithName struct {
 	name string
 	q    *query.Query
+}
+
+// joinOrderEnv is ReJOIN's MDP (§3): the plan-space environment with join
+// ordering as the only learned stage, rewarded by the optimizer cost of the
+// completed plan.
+func (l *Lab) joinOrderEnv(space *featurize.Space, queries []*query.Query, disallowCross bool, seed int64) *planspace.Env {
+	return planspace.NewEnv(planspace.Config{
+		Space:         space,
+		Stages:        planspace.StagePrefix(1),
+		Planner:       l.Planner,
+		Queries:       queries,
+		DisallowCross: disallowCross,
+		Seed:          seed,
+	})
+}
+
+// greedyCost plans q with the agent's greedy policy and returns the
+// completed plan's optimizer cost.
+func greedyCost(env *planspace.Env, agent *rl.Reinforce, q *query.Query) float64 {
+	out, _ := env.GreedyRollout(context.Background(), q, agent.Greedy)
+	return out.Cost
 }

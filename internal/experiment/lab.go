@@ -17,7 +17,6 @@ import (
 	"handsfree/internal/engine"
 	"handsfree/internal/featurize"
 	"handsfree/internal/optimizer"
-	"handsfree/internal/plancache"
 	"handsfree/internal/stats"
 	"handsfree/internal/workload"
 )
@@ -32,12 +31,6 @@ type LabConfig struct {
 	OracleSeed int64
 	// LatencySeed selects the execution-noise field.
 	LatencySeed int64
-	// CacheCapacity, when > 0, attaches a plan cache of that many entries
-	// to the lab's planner, memoizing expert plans and episode completions
-	// across experiments. The recorded experiment configurations leave it
-	// 0 so planning-time measurements (Figure 3c) price every plan from
-	// scratch, exactly as the paper's baseline does.
-	CacheCapacity int
 }
 
 // DefaultLabConfig is the configuration used by the recorded experiments.
@@ -61,9 +54,6 @@ type Lab struct {
 	Planner  *optimizer.Planner
 	Latency  *engine.LatencyModel
 	Workload *workload.Workload
-	// Cache is the plan cache attached to Planner (nil when
-	// LabConfig.CacheCapacity is 0).
-	Cache *plancache.Cache
 }
 
 // NewLab builds the substrate.
@@ -75,22 +65,15 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 	est := stats.NewEstimator(db.Catalog, db.Stats)
 	oracle := stats.NewOracle(est, cfg.OracleSeed)
 	model := cost.New(cost.DefaultParams(), est)
-	planner := optimizer.New(db.Catalog, model)
-	var cache *plancache.Cache
-	if cfg.CacheCapacity > 0 {
-		cache = plancache.New(plancache.Config{Capacity: cfg.CacheCapacity})
-		planner = planner.WithCache(cache)
-	}
 	return &Lab{
 		Cfg:      cfg,
 		DB:       db,
 		Est:      est,
 		Oracle:   oracle,
 		Model:    model,
-		Planner:  planner,
+		Planner:  optimizer.New(db.Catalog, model),
 		Latency:  engine.NewLatencyModel(oracle, cfg.LatencySeed),
 		Workload: workload.New(db),
-		Cache:    cache,
 	}, nil
 }
 

@@ -104,7 +104,7 @@ func TestF32ForwardToleranceParity(t *testing.T) {
 // on the regression workload: after each full forward/backward/Adam step the
 // relative difference in loss stays within this bound for the first training
 // epochs (divergence compounds slowly; convergence-level agreement is
-// asserted separately by the rl and rejoin tolerance tests).
+// asserted separately by the rl and planspace tolerance tests).
 const stepParityTol = 1e-3
 
 // TestF32TrainingStepToleranceParity trains two identically seeded MLPs —

@@ -83,9 +83,8 @@ type Server struct {
 
 	// OnPublish, when non-nil, runs after each new snapshot becomes
 	// visible, with the new version. Set it before any concurrent use; the
-	// hook must be safe to call from the publishing goroutine. The training
-	// loops use it to advance the plan cache's policy epoch so plans
-	// memoized under older snapshots can never be served.
+	// hook must be safe to call from the publishing goroutine. The service
+	// lifecycle uses it to hot-swap the served policy.
 	OnPublish func(version uint64)
 }
 

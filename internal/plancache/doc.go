@@ -15,7 +15,7 @@
 //
 // # Keys
 //
-// A cache Key has five parts:
+// A cache Key has four parts:
 //
 //   - Query: Fingerprint(q), a 64-bit hash over the query's canonicalized
 //     relations, join graph, and predicates. Permuting the relation list,
@@ -24,19 +24,15 @@
 //     (up to 64-bit collision chance).
 //   - Skeleton: HashPlan of the partial plan (an allocation-free
 //     structural tree hash); zero for whole-query entries (full optimizer
-//     plans, learned greedy plans).
+//     plans).
 //   - Mode: which computation produced the entry (subtree completion,
-//     full-plan completion, fixed-plan costing, traditional planning, or a
-//     learned policy's greedy plan).
+//     full-plan completion, fixed-plan costing, or traditional planning).
 //   - Aux: a mode-specific discriminator (aggregation algorithm,
 //     enumeration strategy).
-//   - Epoch: the policy epoch for policy-dependent entries. Optimizer
-//     completions are pure and use epoch 0; learned greedy plans are keyed
-//     by the epoch current when they were produced, so BumpEpoch —
-//     called whenever fresh policy snapshots are taken or the policy is
-//     transferred across curriculum phases — invalidates them in O(1)
-//     without touching pure entries. Stale entries simply never match
-//     again and age out through the LRU.
+//
+// Every entry is a pure function of its key for a fixed catalog and cost
+// model, so no entry ever needs invalidating while the system runs; learned
+// policies are never memoized here.
 //
 // # Sharding and eviction
 //
@@ -45,5 +41,5 @@
 // parallel collection workers (rl.CollectParallel) rarely contend on the
 // same lock. Total capacity is bounded; inserting into a full shard evicts
 // that shard's least-recently-used entry. Hits, misses, puts, evictions,
-// and epoch bumps are counted with atomics and exposed via Stats.
+// and admission skips are counted with atomics and exposed via Stats.
 package plancache

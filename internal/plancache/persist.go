@@ -9,18 +9,14 @@ import (
 	"handsfree/internal/plan"
 )
 
-// Warm-start persistence: Save serializes the cache's pure entries with gob
-// (the same encoding the policy checkpoints use) and Load replays them into
-// a cache in a fresh process, so a restarted system serves its repeated
+// Warm-start persistence: Save serializes the cache's entries with gob (the
+// same encoding the policy checkpoints use) and Load replays them into a
+// cache in a fresh process, so a restarted system serves its repeated
 // workload from the first sweep instead of paying the cold completion cost
-// again.
-//
-// Only pure entries travel: policy-dependent (ModeGreedyPolicy) entries are
-// keyed by process-local agent identities and policy epochs, so they cannot
-// be meaningful in another process and are skipped by Save. Pure entries
-// (traditional plans and completion subtrees) are functions of (query
-// fingerprint, skeleton hash, mode) alone — the catalog and cost model are
-// part of the system configuration — and reload exactly.
+// again. Every entry (traditional plans and completion subtrees) is a
+// function of (query fingerprint, skeleton hash, mode) alone — the catalog
+// and cost model are part of the system configuration — and reloads
+// exactly.
 
 // savedCacheVersion is the wire-format version of the persisted cache.
 const savedCacheVersion = 1
@@ -41,7 +37,7 @@ type savedCache struct {
 	// tag a dump from a differently scaled or seeded database would
 	// silently serve plans and costs from the wrong system.
 	Tag uint64
-	// Entries are the pure (policy-independent) cache entries, LRU first.
+	// Entries are the cache entries, LRU first.
 	Entries []savedEntry
 }
 
@@ -53,7 +49,7 @@ var registerPlanNodes = sync.OnceFunc(func() {
 	gob.Register(&plan.Agg{})
 })
 
-// Save writes every pure (policy-independent) entry to w, least recently
+// Save writes every entry to w, least recently
 // used first, so a subsequent Load rebuilds the same recency order. tag
 // identifies the system configuration the entries were computed under
 // (catalog, statistics, cost model — e.g. a hash of the database seed and
@@ -71,9 +67,6 @@ func (c *Cache) Save(w io.Writer, tag uint64) error {
 		// Walk tail→head (LRU→MRU): replaying in this order makes the last
 		// Put the most recently used, matching the live cache.
 		for n := s.tail; n != nil; n = n.prev {
-			if n.key.Mode == ModeGreedyPolicy {
-				continue
-			}
 			dump.Entries = append(dump.Entries, savedEntry{Key: n.key, Entry: n.entry})
 		}
 		s.mu.Unlock()
@@ -106,7 +99,7 @@ func (c *Cache) Load(r io.Reader, tag uint64) (int, error) {
 	}
 	restored := 0
 	for _, e := range dump.Entries {
-		if e.Key.Mode == ModeGreedyPolicy || e.Entry.Plan == nil {
+		if e.Entry.Plan == nil {
 			continue
 		}
 		if c.put(e.Key, e.Entry) {

@@ -38,20 +38,18 @@ func TestAdmissionThresholdSkipsCheapSubtrees(t *testing.T) {
 	}
 
 	// Whole-query entries always amortize: admitted regardless of cost.
-	for _, m := range []Mode{ModePlan, ModeGreedyPolicy} {
-		k := Key{Query: 3, Skeleton: uint64(m), Mode: m}
-		c.Put(k, entryFor(1))
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("cheap whole-query %v entry was rejected by admission", m)
-		}
+	whole := Key{Query: 3, Mode: ModePlan}
+	c.Put(whole, entryFor(1))
+	if _, ok := c.Get(whole); !ok {
+		t.Fatal("cheap whole-query entry was rejected by admission")
 	}
 
 	st := c.Stats()
 	if st.AdmissionSkips != 4 {
 		t.Fatalf("AdmissionSkips = %d, want 4", st.AdmissionSkips)
 	}
-	if st.Puts != 3 {
-		t.Fatalf("Puts = %d, want 3 admitted puts", st.Puts)
+	if st.Puts != 2 {
+		t.Fatalf("Puts = %d, want 2 admitted puts", st.Puts)
 	}
 
 	// Threshold 0 disables admission control entirely.
@@ -77,18 +75,15 @@ func buildTree() plan.Node {
 		Aggregates: []query.Aggregate{{Kind: query.AggCount}}}
 }
 
-// TestSaveLoadRoundTrip: pure entries must survive a gob round trip into a
-// fresh cache — same keys, same costs, structurally identical plans — while
-// policy-dependent entries stay behind.
+// TestSaveLoadRoundTrip: entries must survive a gob round trip into a fresh
+// cache — same keys, same costs, structurally identical plans.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := New(Config{Capacity: 64, Shards: 4})
 	pure1 := Key{Query: 11, Skeleton: 21, Mode: ModeCompletePhysical}
 	pure2 := Key{Query: 12, Skeleton: 0, Mode: ModePlan, Aux: 2}
-	policy := Key{Query: 13, Skeleton: 99, Mode: ModeGreedyPolicy, Epoch: 5}
 	tree := buildTree()
 	src.Put(pure1, Entry{Plan: tree, Cost: cost.NodeCost{Rows: 10, Total: 1234.5, Sorted: true}})
 	src.Put(pure2, Entry{Plan: tree, Cost: cost.NodeCost{Total: 42}})
-	src.Put(policy, entryFor(7))
 
 	var buf bytes.Buffer
 	if err := src.Save(&buf, 77); err != nil {
@@ -101,10 +96,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("restored %d entries, want the 2 pure ones", n)
-	}
-	if _, ok := dst.Get(policy); ok {
-		t.Fatal("policy-dependent entry crossed the process boundary")
+		t.Fatalf("restored %d entries, want 2", n)
 	}
 	e1, ok := dst.Get(pure1)
 	if !ok || e1.Cost.Total != 1234.5 || e1.Cost.Rows != 10 || !e1.Cost.Sorted {

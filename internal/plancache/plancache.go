@@ -10,10 +10,9 @@ import (
 	"handsfree/internal/query"
 )
 
-// Mode identifies which computation an entry memoizes. Entries produced by
-// the traditional optimizer are pure functions of (query, skeleton) and use
-// Epoch 0; ModeGreedyPolicy entries depend on learned policy weights and
-// must carry the policy epoch they were produced under.
+// Mode identifies which computation an entry memoizes. Every entry is
+// produced by the traditional optimizer and is a pure function of (query,
+// skeleton, mode, aux).
 type Mode uint8
 
 const (
@@ -33,10 +32,6 @@ const (
 	// ModePlan is a full traditional-optimizer plan (Aux carries the
 	// effective enumeration strategy).
 	ModePlan
-	// ModeGreedyPolicy is a learned agent's greedy plan for a whole query.
-	// Entries are policy-dependent: they are keyed by Epoch and invalidated
-	// by BumpEpoch when the policy changes.
-	ModeGreedyPolicy
 )
 
 // Key identifies one cached computation.
@@ -50,8 +45,6 @@ type Key struct {
 	Mode Mode
 	// Aux is a mode-specific discriminator.
 	Aux uint8
-	// Epoch is the policy epoch for policy-dependent modes (0 for pure).
-	Epoch uint64
 }
 
 // hash mixes the key into the shard-selection hash.
@@ -59,7 +52,6 @@ func (k Key) hash() uint64 {
 	h := k.Query
 	h ^= bits.RotateLeft64(k.Skeleton, 23)
 	h ^= uint64(k.Mode)<<56 | uint64(k.Aux)<<48
-	h ^= bits.RotateLeft64(k.Epoch*0x9e3779b97f4a7c15, 41)
 	h *= 0xff51afd7ed558ccd
 	return h ^ (h >> 33)
 }
@@ -87,8 +79,8 @@ type Config struct {
 	// as the lookup that would serve it. This turns the stochastic-training
 	// path — where sampled join orders rarely repeat wholesale and cheap
 	// leaf/small-join entries dominate the memoization traffic — from
-	// cache-neutral into a win. Whole-query entries (ModePlan,
-	// ModeGreedyPolicy) are always admitted. 0 disables admission control.
+	// cache-neutral into a win. Whole-query entries (ModePlan) are always
+	// admitted. 0 disables admission control.
 	// Skipped admissions are counted in Stats.AdmissionSkips.
 	MinAdmitCost float64
 }
@@ -152,14 +144,12 @@ type Cache struct {
 	shards   []*shard
 	mask     uint64
 	minAdmit float64
-	epoch    atomic.Uint64
 	fp       fingerprintMemo
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
 	puts           atomic.Uint64
 	evictions      atomic.Uint64
-	epochBumps     atomic.Uint64
 	admissionSkips atomic.Uint64
 }
 
@@ -206,8 +196,8 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 
 // admissionControlled reports whether entries of this mode are subject to
 // the cost-based admission threshold: the per-episode completion subtrees.
-// Whole-query computations (a full traditional plan, a learned greedy plan)
-// always amortize their cost and are always admitted.
+// Whole-query computations (a full traditional plan) always amortize their
+// cost and are always admitted.
 func admissionControlled(m Mode) bool {
 	switch m {
 	case ModeCompletePhysical, ModeCompleteOperators, ModeCompleteAccess, ModeCostFixed:
@@ -275,32 +265,8 @@ func (c *Cache) Len() int {
 	return total
 }
 
-// Epoch returns the current policy epoch. Policy-dependent entries must be
-// stored and looked up under the epoch current at production time.
-func (c *Cache) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch.Load()
-}
-
-// BumpEpoch advances the policy epoch, logically invalidating every
-// policy-dependent (ModeGreedyPolicy) entry in O(1): their keys can never
-// match a future lookup, and they age out of the LRU under new traffic.
-// Call it whenever fresh policy snapshots are taken for collection or the
-// policy is transferred/retrained, so plans from old policies cannot
-// poison training or evaluation.
-func (c *Cache) BumpEpoch() {
-	if c == nil {
-		return
-	}
-	c.epoch.Add(1)
-	c.epochBumps.Add(1)
-}
-
-// Flush drops every entry (pure and policy-dependent alike) and the
-// fingerprint memo, releasing every plan and query the cache pinned.
-// Statistics and the epoch counter are preserved.
+// Flush drops every entry and the fingerprint memo, releasing every plan and
+// query the cache pinned. Statistics are preserved.
 func (c *Cache) Flush() {
 	if c == nil {
 		return
@@ -326,14 +292,12 @@ func (c *Cache) FingerprintOf(q *query.Query) uint64 {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits, Misses, Puts, Evictions, EpochBumps uint64
+	Hits, Misses, Puts, Evictions uint64
 	// AdmissionSkips counts Put calls rejected by the MinAdmitCost admission
 	// threshold (completion subtrees cheaper than the lookup they'd save).
 	AdmissionSkips uint64
 	// Size is the entry count at snapshot time.
 	Size int
-	// Epoch is the policy epoch at snapshot time.
-	Epoch uint64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -355,9 +319,7 @@ func (c *Cache) Stats() Stats {
 		Misses:         c.misses.Load(),
 		Puts:           c.puts.Load(),
 		Evictions:      c.evictions.Load(),
-		EpochBumps:     c.epochBumps.Load(),
 		AdmissionSkips: c.admissionSkips.Load(),
 		Size:           c.Len(),
-		Epoch:          c.epoch.Load(),
 	}
 }

@@ -37,18 +37,17 @@ func TestCacheGetPut(t *testing.T) {
 }
 
 // TestCacheKeyComponentsDistinguish: every key field participates in
-// identity, so the same query under a different mode, skeleton, aux, or
-// epoch is a distinct entry.
+// identity, so the same query under a different mode, skeleton, or aux is a
+// distinct entry.
 func TestCacheKeyComponentsDistinguish(t *testing.T) {
 	c := New(Config{Capacity: 64, Shards: 4})
-	base := Key{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Aux: 0, Epoch: 0}
+	base := Key{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Aux: 0}
 	c.Put(base, entryFor(1))
 	for _, k := range []Key{
 		{Query: 10, Skeleton: 9, Mode: ModeCompletePhysical},
 		{Query: 9, Skeleton: 10, Mode: ModeCompletePhysical},
 		{Query: 9, Skeleton: 9, Mode: ModeCompleteOperators},
 		{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Aux: 1},
-		{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Epoch: 1},
 	} {
 		if _, ok := c.Get(k); ok {
 			t.Fatalf("key %+v unexpectedly matched %+v", k, base)
@@ -93,28 +92,6 @@ func TestCacheCapacityBound(t *testing.T) {
 	}
 }
 
-// TestCacheEpochInvalidation: bumping the epoch makes policy-dependent
-// entries unreachable while pure entries survive.
-func TestCacheEpochInvalidation(t *testing.T) {
-	c := New(Config{Capacity: 64, Shards: 4})
-	pure := Key{Query: 1, Mode: ModeCompletePhysical}
-	policy := Key{Query: 1, Mode: ModeGreedyPolicy, Epoch: c.Epoch()}
-	c.Put(pure, entryFor(1))
-	c.Put(policy, entryFor(2))
-
-	c.BumpEpoch()
-
-	if _, ok := c.Get(Key{Query: 1, Mode: ModeGreedyPolicy, Epoch: c.Epoch()}); ok {
-		t.Fatal("stale policy entry visible under the new epoch")
-	}
-	if _, ok := c.Get(pure); !ok {
-		t.Fatal("pure entry lost across an epoch bump")
-	}
-	if st := c.Stats(); st.EpochBumps != 1 || st.Epoch != 1 {
-		t.Fatalf("stats = %+v, want epoch 1 after one bump", st)
-	}
-}
-
 func TestCacheFlush(t *testing.T) {
 	c := New(Config{Capacity: 64, Shards: 4})
 	for i := 0; i < 10; i++ {
@@ -137,9 +114,8 @@ func TestCacheNilReceiver(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(Key{Query: 1}, entryFor(1))
-	c.BumpEpoch()
 	c.Flush()
-	if c.Len() != 0 || c.Epoch() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("nil cache reported non-zero state")
 	}
 	if st := c.Stats(); st != (Stats{}) {

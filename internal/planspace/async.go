@@ -12,15 +12,16 @@ import (
 // continuously collect episodes against lock-free policy snapshots while the
 // learner drains trajectories, applies policy-batch updates, and
 // republishes. onEpisode (optional) observes every consumed episode in
-// consumption order — a scheduling-dependent order; Collector.Collect is the
+// consumption order — a scheduling-dependent order; Train is the
 // deterministic round-synchronous alternative.
 //
 // The configured Reward must be a pure function of the outcome (CostReward
 // and LatencyReward are), exactly as for Replica-based parallel collection.
-// Every snapshot publish advances the shared plan cache's policy epoch, so
-// ModeGreedyPolicy entries from older snapshots can never be served; the
-// replicas' execution counters are folded back into base when training
-// returns, so §4-style timeout statistics survive async collection.
+// A zero cfg.Seed draws the actors' seed from the learner's SnapshotSeed
+// counter, so successive calls on one learner never replay each other's
+// sampling streams. The replicas' execution counters are folded back into
+// base when training returns, so §4-style timeout statistics survive async
+// collection.
 func TrainAsync(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
 	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
 	return TrainAsyncCtx(context.Background(), base, agent, episodes, cfg, onEpisode)
@@ -38,25 +39,16 @@ func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes
 		cfg.Actors = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 4*base.Cfg.Space.MaxRels + 8
+		cfg.MaxSteps = base.maxSteps()
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = base.Cfg.Seed + 1
+		cfg.Seed = agent.SnapshotSeed()
 	}
 	replicas := make([]*Env, cfg.Actors)
 	envs := make([]rl.Env, cfg.Actors)
 	for w := 0; w < cfg.Actors; w++ {
 		replicas[w] = base.Replica(w, cfg.Actors)
 		envs[w] = replicas[w]
-	}
-	cache := base.Cfg.Planner.Cache
-	cache.BumpEpoch()
-	prev := cfg.OnPublish
-	cfg.OnPublish = func(version uint64) {
-		cache.BumpEpoch()
-		if prev != nil {
-			prev(version)
-		}
 	}
 
 	i := 0

@@ -1,6 +1,8 @@
 package planspace
 
 import (
+	"context"
+
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
 )
@@ -37,20 +39,12 @@ type Collector struct {
 	base     *Env
 	replicas []*Env
 	envs     []rl.Env
-	maxSteps int
-	snapSeed int64
 }
 
 // NewCollector builds a collector with the given number of worker replicas.
 func NewCollector(base *Env, workers int) *Collector {
-	if workers < 1 {
-		workers = 1
-	}
-	c := &Collector{
-		base:     base,
-		maxSteps: 4*base.Cfg.Space.MaxRels + 8,
-		snapSeed: base.Cfg.Seed,
-	}
+	workers = max(workers, 1)
+	c := &Collector{base: base}
 	for w := 0; w < workers; w++ {
 		r := base.Replica(w, workers)
 		c.replicas = append(c.replicas, r)
@@ -61,27 +55,21 @@ func NewCollector(base *Env, workers int) *Collector {
 
 // Collect runs `episodes` episodes across the worker replicas, each worker
 // stepping a frozen snapshot of the policy (fresh snapshots per call, seeded
-// deterministically), and returns the merged records in a deterministic
-// order. The caller feeds the trajectories to its learner in that order —
-// typically one policy-batch per Collect call so updates happen exactly as
-// often as in sequential training.
+// from the learner's SnapshotSeed counter so no call replays an earlier
+// call's sampling streams), and returns the merged records in a
+// deterministic order. The caller feeds the trajectories to its learner in
+// that order — typically one policy-batch per Collect call so updates happen
+// exactly as often as in sequential training.
 func (c *Collector) Collect(agent *rl.Reinforce, episodes int) []EpisodeRecord {
 	workers := len(c.replicas)
 	per := rl.SplitEpisodes(episodes, workers)
 	policies := make([]func(rl.State) int, workers)
 	records := make([][]EpisodeRecord, workers)
-	// Fresh policy snapshots mean any plan cached under the previous policy
-	// is stale: advance the shared cache's policy epoch so ModeGreedyPolicy
-	// entries from older snapshots can never be served. Pure optimizer
-	// completions are unaffected — they are what makes repeated workload
-	// queries cheap.
-	c.base.Cfg.Planner.Cache.BumpEpoch()
 	for w := 0; w < workers; w++ {
-		c.snapSeed++
-		policies[w] = agent.PolicySnapshot(c.snapSeed)
+		policies[w] = agent.PolicySnapshot(agent.SnapshotSeed())
 		records[w] = make([]EpisodeRecord, per[w])
 	}
-	rl.CollectParallel(c.envs, policies, per, c.maxSteps, func(w, ep int, traj rl.Trajectory) {
+	rl.CollectParallel(c.envs, policies, per, c.base.maxSteps(), func(w, ep int, traj rl.Trajectory) {
 		records[w][ep] = EpisodeRecord{
 			Query: c.replicas[w].Current(),
 			Traj:  traj,
@@ -96,4 +84,45 @@ func (c *Collector) Collect(agent *rl.Reinforce, episodes int) []EpisodeRecord {
 		r.Executions, r.TimedOutCount = 0, 0
 	}
 	return rl.Interleave(records)
+}
+
+// Train runs `episodes` training episodes of agent over base and feeds them
+// to the learner. With workers ≤ 1 it is a sequential loop on base itself;
+// with workers > 1 a Collector gathers one policy-batch per round from
+// frozen snapshots and merges it deterministically, so the policy updates
+// exactly as often as in sequential training and a fixed seed and worker
+// count reproduce bitwise. onEpisode (optional) observes every episode, in
+// learner order, after the learner has seen it. Cancellation is checked
+// between episodes (sequential) or rounds (parallel) and returns ctx.Err().
+func Train(ctx context.Context, base *Env, agent *rl.Reinforce, episodes, workers int,
+	onEpisode func(i int, rec EpisodeRecord)) error {
+	if workers <= 1 {
+		for i := 0; i < episodes; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			traj := rl.RunEpisode(base, agent.Sample, base.maxSteps())
+			agent.Observe(traj)
+			if onEpisode != nil {
+				onEpisode(i, EpisodeRecord{Query: base.Current(), Traj: traj, Out: base.Last})
+			}
+		}
+		return nil
+	}
+	collector := NewCollector(base, workers)
+	round := max(agent.Cfg.BatchSize, 1)
+	for done := 0; done < episodes; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := min(round, episodes-done)
+		for i, rec := range collector.Collect(agent, n) {
+			agent.Observe(rec.Traj)
+			if onEpisode != nil {
+				onEpisode(done+i, rec)
+			}
+		}
+		done += n
+	}
+	return nil
 }

@@ -3,7 +3,6 @@ package planspace
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"handsfree/internal/featurize"
 	"handsfree/internal/optimizer"
@@ -77,6 +76,10 @@ type Config struct {
 	RewardNeedsLatency bool
 	// LatencyBudgetMs censors execution latency (0 = no budget).
 	LatencyBudgetMs float64
+	// DisallowCross masks join actions between subtrees that share no join
+	// predicate (a query whose remaining subtrees are all disconnected keeps
+	// every pair, so the mask is never empty).
+	DisallowCross bool
 	// Cache, when non-nil, memoizes the optimizer completions that end
 	// every episode (the plan cache service). NewEnv attaches it to the
 	// planner, and Replica copies inherit the attachment, so all parallel
@@ -107,7 +110,6 @@ type Env struct {
 	Cfg    Config
 	Layout Layout
 
-	rng    *rand.Rand
 	curIdx int
 
 	cur    *query.Query
@@ -150,7 +152,6 @@ func NewEnv(cfg Config) *Env {
 	return &Env{
 		Cfg:    cfg,
 		Layout: Layout{Space: cfg.Space, Stages: cfg.Stages},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		curIdx: -1,
 	}
 }
@@ -283,9 +284,13 @@ func (e *Env) mask() []bool {
 		}
 	case phaseJoin:
 		nAlgo := e.Layout.JoinAlgoCount()
+		var connected []bool
+		if e.Cfg.DisallowCross {
+			connected = e.Cfg.Space.ConnectedPairMaskScratch(e.cur, e.forest, &e.scratch)
+		}
 		for x := 0; x < len(e.forest); x++ {
 			for y := 0; y < len(e.forest); y++ {
-				if x == y {
+				if x == y || (connected != nil && !connected[e.Cfg.Space.EncodeAction(x, y)]) {
 					continue
 				}
 				for a := 0; a < nAlgo; a++ {
@@ -423,6 +428,10 @@ func (e *Env) finish(aggAlgo plan.AggAlgo, aggChosen bool) (rl.State, float64, b
 	return rl.State{Terminal: true}, e.Cfg.Reward(out), true
 }
 
+// maxSteps bounds an episode: one decision per access path, join, and
+// aggregation, with slack.
+func (e *Env) maxSteps() int { return 4*e.Cfg.Space.MaxRels + 8 }
+
 // GreedyRollout plans q by stepping the env with choose until the episode
 // terminates, checking ctx before every decision: a deadline or
 // cancellation cuts the rollout off mid-search and returns ctx.Err(). A
@@ -435,8 +444,7 @@ func (e *Env) GreedyRollout(ctx context.Context, q *query.Query, choose func(rl.
 		return Outcome{}, err
 	}
 	s := e.ResetTo(q)
-	maxSteps := 4*e.Cfg.Space.MaxRels + 8
-	for i := 0; i < maxSteps && !s.Terminal; i++ {
+	for i := 0; i < e.maxSteps() && !s.Terminal; i++ {
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}

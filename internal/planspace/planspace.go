@@ -6,6 +6,8 @@
 // prescribes for early curriculum phases.
 //
 // The same environment serves every agent in the reproduction:
+//   - ReJOIN's join-order enumeration (§3) at StagePrefix(1), optionally
+//     masking cross-product joins (Config.DisallowCross),
 //   - naive full-space DRL (§4's negative result),
 //   - learning from demonstration (§5.1) via expert traces,
 //   - cost-model bootstrapping (§5.2) via its switchable reward source,

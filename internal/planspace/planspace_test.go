@@ -28,6 +28,12 @@ type fx struct {
 
 func fixture(t *testing.T, nQueries, minRel, maxRel int) fx {
 	t.Helper()
+	return workloadFixture(t, 9, nQueries, minRel, maxRel)
+}
+
+// workloadFixture is fixture over the training workload drawn with seed.
+func workloadFixture(t *testing.T, seed int64, nQueries, minRel, maxRel int) fx {
+	t.Helper()
 	db, err := datagen.Generate(datagen.Config{Seed: 1, Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +44,7 @@ func fixture(t *testing.T, nQueries, minRel, maxRel int) fx {
 	oracle := stats.NewOracle(est, 11)
 	lat := engine.NewLatencyModel(oracle, 5)
 	w := workload.New(db)
-	qs, err := w.Training(nQueries, minRel, maxRel, 9)
+	qs, err := w.Training(nQueries, minRel, maxRel, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,21 +316,39 @@ func TestTransferPolicyRemapsJoinBlock(t *testing.T) {
 	}
 }
 
+// TestMaskAlwaysHasValidAction: at every stage prefix, with and without
+// DisallowCross, every non-terminal state offers a valid action; under
+// DisallowCross no enabled join pairs two subtrees that share no join
+// predicate (the workload queries are connected, so one always exists).
 func TestMaskAlwaysHasValidAction(t *testing.T) {
 	f := fixture(t, 6, 4, 7)
 	for k := 1; k <= NumStages; k++ {
-		env := f.env(StagePrefix(k), CostReward, false)
-		pol := rl.RandomPolicy(int64(k))
-		for ep := 0; ep < len(f.queries); ep++ {
-			s := env.Reset()
-			for steps := 0; !s.Terminal && steps < 100; steps++ {
-				if s.NumValid() == 0 {
-					t.Fatalf("stage %d: no valid action at step %d", k, steps)
-				}
-				next, _, done := env.Step(pol(s))
-				s = next
-				if done {
-					break
+		for _, disallowCross := range []bool{false, true} {
+			env := f.env(StagePrefix(k), CostReward, false)
+			env.Cfg.DisallowCross = disallowCross
+			pol := rl.RandomPolicy(int64(k))
+			for ep := 0; ep < len(f.queries); ep++ {
+				s := env.Reset()
+				for steps := 0; !s.Terminal && steps < 100; steps++ {
+					if s.NumValid() == 0 {
+						t.Fatalf("stage %d DisallowCross=%v: no valid action at step %d", k, disallowCross, steps)
+					}
+					if disallowCross && env.ph == phaseJoin {
+						for a := 0; a < env.Layout.JoinBlockSize(); a++ {
+							if !s.Mask[a] {
+								continue
+							}
+							x, y, _ := env.Layout.DecodeJoin(a)
+							if !env.cur.HasJoinBetween(env.forest[x].Aliases(), env.forest[y].Aliases()) {
+								t.Fatalf("stage %d: DisallowCross enabled a cross-product join of subtrees %d and %d", k, x, y)
+							}
+						}
+					}
+					next, _, done := env.Step(pol(s))
+					s = next
+					if done {
+						break
+					}
 				}
 			}
 		}

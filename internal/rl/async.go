@@ -77,7 +77,7 @@ type AsyncConfig struct {
 	// Seed derives the per-actor action-sampling RNG streams.
 	Seed int64
 	// OnPublish, when non-nil, runs after every snapshot publish with the
-	// new version (the plan-cache epoch bump hook).
+	// new version (the service hot-swaps its served policy here).
 	OnPublish func(version uint64)
 }
 

@@ -108,6 +108,8 @@ type Reinforce struct {
 	masks   [][]bool
 	actions []int
 	advs    []float64
+	// snapSeed is the last seed SnapshotSeed handed out.
+	snapSeed int64
 	// Updates counts completed policy updates.
 	Updates int
 }
@@ -129,11 +131,12 @@ func NewReinforce(obsDim, actionDim int, cfg ReinforceConfig) *Reinforce {
 	net := nn.NewMLPAt(cfg.Precision, rng, sizes...)
 	net.SetEngine(cfg.Engine)
 	return &Reinforce{
-		Policy:  net,
-		Opt:     opt,
-		Cfg:     cfg,
-		rng:     rng,
-		entCoef: cfg.EntropyCoef,
+		Policy:   net,
+		Opt:      opt,
+		Cfg:      cfg,
+		rng:      rng,
+		entCoef:  cfg.EntropyCoef,
+		snapSeed: cfg.Seed,
 	}
 }
 
@@ -169,6 +172,15 @@ func (a *Reinforce) PolicySnapshot(seed int64) func(State) int {
 		logits := net.Forward(nn.FromVec(s.Features))
 		return sampleFrom(nn.MaskedSoftmax(logits.Data, s.Mask), rng)
 	}
+}
+
+// SnapshotSeed returns a fresh action-sampling seed for a policy snapshot or
+// an async actor set. The counter lives on the learner, so every collection
+// round, training call, and curriculum phase that shares this learner draws
+// new RNG streams instead of replaying an earlier call's.
+func (a *Reinforce) SnapshotSeed() int64 {
+	a.snapSeed++
+	return a.snapSeed
 }
 
 // Sample draws an action from the current policy (exploration included).

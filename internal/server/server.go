@@ -655,10 +655,8 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		Misses:         st.Misses,
 		Puts:           st.Puts,
 		Evictions:      st.Evictions,
-		EpochBumps:     st.EpochBumps,
 		AdmissionSkips: st.AdmissionSkips,
 		Size:           st.Size,
-		Epoch:          st.Epoch,
 		HitRate:        st.HitRate(),
 	})
 }

@@ -62,12 +62,6 @@ type workloadSpec struct {
 // Option configures New.
 type Option func(*serviceOptions)
 
-// WithConfig seeds every substrate knob at once from a legacy Config; later
-// options override individual fields.
-func WithConfig(cfg Config) Option {
-	return func(o *serviceOptions) { o.cfg = cfg }
-}
-
 // WithSeed sets the database-generation seed (default 1).
 func WithSeed(seed int64) Option {
 	return func(o *serviceOptions) { o.cfg.Seed = seed }
@@ -232,7 +226,6 @@ func New(opts ...Option) (*Service, error) {
 	}
 	svc.observed = engine.NewObserved(sys.Engine)
 	svc.observed.MsPerWork = o.exec.MsPerWork
-	sys.svc = svc
 	if o.workload != nil {
 		qs, err := sys.Workload.Training(o.workload.count, o.workload.minRel, o.workload.maxRel, o.workload.seed)
 		if err != nil {
@@ -420,8 +413,7 @@ func (s *Service) PlanSQL(ctx context.Context, sql string) (PlanResult, error) {
 }
 
 // ExpertPlan runs only the traditional optimizer under a request-scoped
-// context — no learned policy, no safeguard. It is the request-scoped
-// equivalent of the deprecated System.Plan.
+// context — no learned policy, no safeguard.
 func (s *Service) ExpertPlan(ctx context.Context, q *Query) (Planned, error) {
 	return s.sys.Planner.PlanCtx(ctx, q)
 }
@@ -753,7 +745,7 @@ func (s *Service) LifecycleStats() LifecycleStats {
 // StartTraining launches the learning state machine as a background
 // goroutine: Demonstration → CostTraining → LatencyTuning → Done, with the
 // transition predicates in LifecycleConfig and a policy snapshot published
-// (hot swap; plan-cache epoch bumped) on every learner update. Serving
+// (hot swap) on every learner update. Serving
 // continues throughout. Cancelling ctx stops the lifecycle at the next
 // episode boundary (phase becomes PhaseStopped and WaitTraining returns the
 // context error). Errors if a lifecycle is already running or no workload is
@@ -881,12 +873,9 @@ func (s *Service) setProgress(f func(p *lifecycleProgress)) {
 	s.mu.Unlock()
 }
 
-// publish makes the learner's current policy the served snapshot (hot swap)
-// and bumps the plan cache's policy epoch so plans memoized under older
-// policies can never be served.
+// publish makes the learner's current policy the served snapshot (hot swap).
 func (s *Service) publish(learner *rl.Reinforce) {
 	s.policies.Publish(learner.Policy.CloneForInference(), learner.Updates)
-	s.sys.PlanCache.BumpEpoch()
 }
 
 // stopped marks a context-cancelled lifecycle.
