@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"handsfree/internal/cost"
 	"handsfree/internal/experiment"
 	"handsfree/internal/nn"
 	"handsfree/internal/optimizer"
@@ -946,16 +947,10 @@ func BenchmarkSketchEstimatorQError(b *testing.B) {
 		var logSk, logEx float64
 		n := 0
 		for _, q := range qs {
-			aliases := make(map[string]bool, len(q.Relations))
-			for _, r := range q.Relations {
-				aliases[r.Alias] = true
-			}
-			truth := sys.Oracle.TrueSubsetCard(q, aliases)
-			if truth <= 0 {
-				continue
-			}
-			logSk += math.Log(qerr(skEst.SubsetCard(q, aliases), truth))
-			logEx += math.Log(qerr(sys.Est.SubsetCard(q, aliases), truth))
+			all := q.AllRels()
+			truth := cost.SubsetCard(q, sys.Oracle, all)
+			logSk += math.Log(qerr(cost.SubsetCard(q, skEst, all), truth))
+			logEx += math.Log(qerr(cost.SubsetCard(q, sys.Est, all), truth))
 			n++
 		}
 		sketchGeo = math.Exp(logSk / float64(n))

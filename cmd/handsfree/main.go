@@ -440,8 +440,8 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 // layer's resolved admission/timeout settings.
 func printEnv(serveCfg server.Config, tenants int) {
 	mr, nr, kc := nn.BlockedTileConfig()
-	fmt.Printf("engine:    %s (HANDSFREE_ENGINE=%q, build default %s)\n",
-		nn.DefaultEngine(), os.Getenv("HANDSFREE_ENGINE"), nn.BuildDefaultEngine())
+	fmt.Printf("engine:    %s (HANDSFREE_ENGINE=%q)\n",
+		nn.DefaultEngine(), os.Getenv("HANDSFREE_ENGINE"))
 	fmt.Printf("precision: %s (HANDSFREE_PRECISION=%q)\n",
 		nn.DefaultPrecision(), os.Getenv("HANDSFREE_PRECISION"))
 	cpu := nn.DetectCPU()

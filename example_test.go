@@ -80,7 +80,7 @@ func ExampleService_ExpertPlan() {
 		panic(err)
 	}
 	fmt.Println("strategy:", planned.Strategy)
-	fmt.Println("relations planned:", len(planned.Root.Aliases()))
+	fmt.Println("relations planned:", planned.Root.Rels().Len())
 	fmt.Println("positive cost:", planned.Cost > 0)
 	// Output:
 	// strategy: dp
@@ -112,10 +112,10 @@ func ExampleService_NewReJOINAgent() {
 	// positive cost: true
 }
 
-// ExampleConfig_cache enables the plan cache service: episode collection
+// ExampleWithCache enables the plan cache service: episode collection
 // memoizes optimizer completions, so every repetition of a workload query
 // after the first is served (fully or partially) from cache.
-func ExampleConfig_cache() {
+func ExampleWithCache() {
 	svc, err := handsfree.New(
 		handsfree.WithScale(0.05),
 		handsfree.WithCache(handsfree.CacheConfig{Capacity: 4096}),

@@ -85,15 +85,15 @@ type (
 	// publishes, max observed staleness, dropped trajectories).
 	AsyncStats = rl.AsyncStats
 	// Precision selects the scalar type the learned agents' networks store
-	// and compute in; see Config.Precision.
+	// and compute in; see WithPrecision.
 	Precision = nn.Precision
 	// ComputeEngine selects the dense-kernel backend the learned agents'
-	// networks run on; see Config.Engine. (Named ComputeEngine because
+	// networks run on; see WithEngine. (Named ComputeEngine because
 	// System.Engine is the query executor.)
 	ComputeEngine = nn.Engine
 )
 
-// Precision values for Config.Precision and ReJOINConfig.Precision.
+// Precision values for WithPrecision and ReJOINConfig.Precision.
 const (
 	// PrecisionAuto resolves through the HANDSFREE_PRECISION environment
 	// variable and defaults to F64.
@@ -107,11 +107,10 @@ const (
 	F32 = nn.F32
 )
 
-// Compute-engine values for Config.Engine and ReJOINConfig.Engine.
+// Compute-engine values for WithEngine and ReJOINConfig.Engine.
 const (
 	// EngineAuto resolves through the HANDSFREE_ENGINE environment variable
-	// and falls back to the build's compiled-in default (the reference
-	// engine unless built with -tags handsfree_blocked).
+	// and falls back to the reference engine.
 	EngineAuto = nn.EngineAuto
 	// EngineReference is the pure-Go naive-kernel backend: the
 	// bitwise-deterministic reference every other engine is verified
@@ -126,10 +125,10 @@ const (
 
 // StatsMode selects the statistics source the planning stack — cost model,
 // optimizer DP, and learned featurization — reads its cardinality estimates
-// from; see Config.Stats.
+// from; see WithStats.
 type StatsMode int
 
-// Statistics modes for Config.Stats.
+// Statistics modes for WithStats.
 const (
 	// StatsAuto resolves through the HANDSFREE_STATS environment variable
 	// ("exact" | "sketch") and defaults to StatsExact.
@@ -188,16 +187,20 @@ type CacheConfig struct {
 	MinAdmitCost float64
 }
 
-// Config is the substrate configuration New's options assemble.
-type Config struct {
+// The seeds of the simulated world every system is built with: the truth
+// oracle's systematic cardinality-error field and the latency simulator's
+// execution-noise field.
+const (
+	oracleSeed  = 11
+	latencySeed = 5
+)
+
+// config is the substrate configuration New's options assemble.
+type config struct {
 	// Seed drives data generation (default 1).
 	Seed int64
 	// Scale is the database scale factor (default 1.0 ≈ 400k rows).
 	Scale float64
-	// OracleSeed selects the systematic cardinality-error field (default 11).
-	OracleSeed int64
-	// LatencySeed selects the execution-noise field (default 5).
-	LatencySeed int64
 	// Cache configures the plan cache service (disabled by default).
 	Cache CacheConfig
 	// Precision is the default scalar type for every learned agent the
@@ -210,8 +213,7 @@ type Config struct {
 	// Engine is the default dense-kernel backend for every learned agent
 	// the system builds (per-agent configs may override it). The default,
 	// EngineAuto, resolves through the HANDSFREE_ENGINE environment
-	// variable and falls back to the build's compiled-in engine —
-	// EngineReference unless built with -tags handsfree_blocked.
+	// variable and falls back to EngineReference.
 	Engine ComputeEngine
 	// Stats selects the statistics source planning runs on. The default,
 	// StatsAuto, resolves through the HANDSFREE_STATS environment variable
@@ -223,18 +225,12 @@ type Config struct {
 	Stats StatsMode
 }
 
-func (c *Config) fill() {
+func (c *config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Scale == 0 {
 		c.Scale = 1.0
-	}
-	if c.OracleSeed == 0 {
-		c.OracleSeed = 11
-	}
-	if c.LatencySeed == 0 {
-		c.LatencySeed = 5
 	}
 }
 
@@ -252,16 +248,16 @@ type System struct {
 	Engine   *engine.Engine
 	Workload *workload.Workload
 	// PlanCache is the plan cache service attached to Planner (nil unless
-	// Config.Cache.Enabled).
+	// caching is enabled with WithCache).
 	PlanCache *PlanCache
 	// Precision is the system-wide default for learned agents (resolved
-	// from Config.Precision).
+	// from WithPrecision).
 	Precision Precision
 	// Compute is the system-wide default dense-kernel backend for learned
-	// agents (resolved from Config.Engine; Engine is the query executor).
+	// agents (resolved from WithEngine; Engine is the query executor).
 	Compute ComputeEngine
 	// StatsSource is the resolved statistics mode planning runs on
-	// (Config.Stats through HANDSFREE_STATS).
+	// (WithStats through HANDSFREE_STATS).
 	StatsSource StatsMode
 
 	// sketchOnce guards the lazily built sketch store: exact-stats systems
@@ -314,7 +310,7 @@ func (s *System) cardEstimator() featurize.Estimator {
 
 // systemTag hashes the configuration fields that determine what plans and
 // costs the system computes (FNV-1a over seed, scale bits, oracle seed).
-func systemTag(cfg Config) uint64 {
+func systemTag(cfg config) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -325,7 +321,7 @@ func systemTag(cfg Config) uint64 {
 	}
 	mix(uint64(cfg.Seed))
 	mix(math.Float64bits(cfg.Scale))
-	mix(uint64(cfg.OracleSeed))
+	mix(uint64(oracleSeed))
 	// Sketch-driven planning produces different plans for the same query,
 	// so the mode is part of plan identity. Exact mode mixes nothing,
 	// keeping historical tags (and saved dumps) valid.
@@ -337,20 +333,20 @@ func systemTag(cfg Config) uint64 {
 
 // openSystem generates the synthetic database and assembles the substrate
 // bundle (the construction behind New).
-func openSystem(cfg Config) (*System, error) {
+func openSystem(cfg config) (*System, error) {
 	cfg.fill()
 	db, err := datagen.Generate(datagen.Config{Seed: cfg.Seed, Scale: cfg.Scale})
 	if err != nil {
 		return nil, err
 	}
 	est := stats.NewEstimator(db.Catalog, db.Stats)
-	oracle := stats.NewOracle(est, cfg.OracleSeed)
+	oracle := stats.NewOracle(est, oracleSeed)
 	sys := &System{
 		DB:          db,
 		Stats:       db.Stats,
 		Est:         est,
 		Oracle:      oracle,
-		Latency:     engine.NewLatencyModel(oracle, cfg.LatencySeed),
+		Latency:     engine.NewLatencyModel(oracle, latencySeed),
 		Engine:      engine.New(db.Store),
 		Workload:    workload.New(db),
 		Precision:   cfg.Precision.Resolve(),
@@ -387,7 +383,7 @@ func openSystem(cfg Config) (*System, error) {
 // system. Errors if the cache is disabled.
 func (s *System) SavePlanCache(w io.Writer) error {
 	if s.PlanCache == nil {
-		return fmt.Errorf("handsfree: plan cache is disabled (Config.Cache.Enabled)")
+		return fmt.Errorf("handsfree: plan cache is disabled (enable it with WithCache)")
 	}
 	return s.PlanCache.Save(w, s.cacheTag)
 }
@@ -399,7 +395,7 @@ func (s *System) SavePlanCache(w io.Writer) error {
 // catalog must never serve another.
 func (s *System) LoadPlanCache(r io.Reader) (int, error) {
 	if s.PlanCache == nil {
-		return 0, fmt.Errorf("handsfree: plan cache is disabled (Config.Cache.Enabled)")
+		return 0, fmt.Errorf("handsfree: plan cache is disabled (enable it with WithCache)")
 	}
 	return s.PlanCache.Load(r, s.cacheTag)
 }
@@ -443,10 +439,10 @@ type ReJOINConfig struct {
 	Hidden []int
 	// LR is the learning rate (default 1.5e-3).
 	LR float64
-	// Precision overrides the system-wide Config.Precision for this agent's
-	// policy network (PrecisionAuto inherits the system setting).
+	// Precision overrides the system-wide WithPrecision setting for this
+	// agent's policy network (PrecisionAuto inherits the system setting).
 	Precision Precision
-	// Engine overrides the system-wide Config.Engine for this agent's
+	// Engine overrides the system-wide WithEngine setting for this agent's
 	// policy network (EngineAuto inherits the system setting).
 	Engine ComputeEngine
 	Seed   int64

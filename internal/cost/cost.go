@@ -28,6 +28,25 @@ type CardSource interface {
 	TableRows(table string) int64
 }
 
+// SubsetCard is the cardinality of joining the relations in s under src: the
+// product of their base cardinalities, taken in q.Relations order, times the
+// selectivity of every join predicate with both ends in s, taken in q.Joins
+// order, floored at 1. The fixed multiplication order makes the result
+// bitwise reproducible. With an estimator as src it is the optimizer's
+// estimate; with the oracle, the cardinality execution observes.
+func SubsetCard(q *query.Query, src CardSource, s query.RelSet) float64 {
+	card := 1.0
+	for i := range s.All() {
+		card *= src.BaseCard(q, q.Relations[i].Alias)
+	}
+	for _, j := range q.Joins {
+		if q.Rel(j.LeftAlias)&s != 0 && q.Rel(j.RightAlias)&s != 0 {
+			card *= src.JoinSelectivity(q, j)
+		}
+	}
+	return max(card, 1)
+}
+
 // Params are the cost-model constants (PostgreSQL's defaults, plus the
 // engine-geometry knobs the simulator needs).
 type Params struct {

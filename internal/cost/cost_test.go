@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"handsfree/internal/catalog"
+	"handsfree/internal/datagen"
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
 	"handsfree/internal/stats"
+	"handsfree/internal/workload"
 )
 
 // fixture builds a three-table schema with analyzed statistics, the demo
@@ -151,7 +153,7 @@ func TestCardinalityPropagation(t *testing.T) {
 			plan.BuildScan(q, "t", plan.SeqScan, "")),
 		plan.BuildScan(q, "cn", plan.SeqScan, ""))
 	nc := m.Explain(q, full)
-	want := est.SubsetCard(q, map[string]bool{"t": true, "mc": true, "cn": true})
+	want := SubsetCard(q, est, full.Rels())
 	if diff := nc.Rows/want - 1; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("plan output rows %v, want estimator subset card %v", nc.Rows, want)
 	}
@@ -216,5 +218,36 @@ func TestHashIndexDegeneratesOnRangePredicate(t *testing.T) {
 	seq := m.Cost(q, plan.BuildScan(q, "t", plan.SeqScan, ""))
 	if rangeViaHash <= seq {
 		t.Fatalf("hash index on a range predicate (%v) must not beat seq scan (%v)", rangeViaHash, seq)
+	}
+}
+
+// TestSubsetCardFixedOrder: SubsetCard multiplies in q.Relations order and
+// then q.Joins order, so repeated calls agree bitwise and equal that
+// product, for the estimator and the oracle alike.
+func TestSubsetCardFixedOrder(t *testing.T) {
+	db, err := datagen.Generate(datagen.Config{Seed: 1, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := stats.NewEstimator(db.Catalog, db.Stats)
+	qs, err := workload.New(db).Training(64, 4, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []CardSource{est, stats.NewOracle(est, 11)} {
+		for _, q := range qs {
+			want := 1.0
+			for _, r := range q.Relations {
+				want *= src.BaseCard(q, r.Alias)
+			}
+			for _, j := range q.Joins {
+				want *= src.JoinSelectivity(q, j)
+			}
+			for range 20 {
+				if got := SubsetCard(q, src, q.AllRels()); got != max(want, 1) {
+					t.Fatalf("%s: SubsetCard = %v, want the fixed-order product %v", q.Name, got, want)
+				}
+			}
+		}
 	}
 }

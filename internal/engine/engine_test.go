@@ -217,6 +217,37 @@ func TestBudgetAborts(t *testing.T) {
 	}
 }
 
+// TestExplodingJoinAbortsNearBudget: a single-key 4000×4000 join produces
+// 16M pairs (32M work units once emitted). Every join algorithm must abort
+// once the pairs it has matched, charged as the join will charge them,
+// exceed the budget. The work counted at the abort overshoots the budget by
+// at most one check interval — an outer row's output, or merge join's input
+// sort — which stays below the budget itself here.
+func TestExplodingJoinAbortsNearBudget(t *testing.T) {
+	const n, budget = 4000, 100_000
+	db := storage.NewDB()
+	for _, name := range []string{"l", "r"} {
+		tbl := storage.NewTable(name, n)
+		_ = tbl.AddColumn("k", make([]int64, n))
+		db.Add(tbl)
+	}
+	q := &query.Query{
+		Relations: []query.Relation{{Table: "l", Alias: "l"}, {Table: "r", Alias: "r"}},
+		Joins:     []query.Join{{LeftAlias: "l", LeftCol: "k", RightAlias: "r", RightCol: "k"}},
+	}
+	e := New(db)
+	for _, algo := range plan.JoinAlgos {
+		root := plan.JoinNodes(q, algo, plan.BuildScan(q, "l", plan.SeqScan, ""), plan.BuildScan(q, "r", plan.SeqScan, ""))
+		_, w, err := e.ExecuteBudget(q, root, budget)
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("%s: err = %v, want ErrBudget", algo, err)
+		}
+		if got := w.Total(); got < budget || got > 2*budget {
+			t.Fatalf("%s: aborted at %d work units, want within [%d, %d]", algo, got, budget, 2*budget)
+		}
+	}
+}
+
 func TestAggregation(t *testing.T) {
 	db := tinyDB()
 	q := &query.Query{

@@ -98,12 +98,21 @@ func (e *Engine) ExecuteBudget(q *query.Query, root plan.Node, budget int64) (*R
 	return res, w, err
 }
 
-func (e *Engine) check(w *Work) error {
+func (e *Engine) check(w *Work) error { return e.checkJoin(w, 0) }
+
+// checkJoin is check for a join in progress. The output pairs it has
+// matched so far count as emitJoin will charge them (one emitted and one
+// materialized tuple each), so an exploding join aborts as its output grows
+// rather than after all of it is built. On abort the pairs are charged, so
+// the partial work covers the output produced.
+func (e *Engine) checkJoin(w *Work, pairs int) error {
 	limit := e.Budget
 	if w.budget > 0 {
 		limit = w.budget
 	}
-	if limit > 0 && w.Total() > limit {
+	if limit > 0 && w.Total()+2*int64(pairs) > limit {
+		w.TuplesEmitted += int64(pairs)
+		w.RowsMaterialized += int64(pairs)
 		return ErrBudget
 	}
 	return nil
@@ -295,7 +304,7 @@ func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
 				li = append(li, int32(a))
 				ri = append(ri, int32(b))
 			}
-			if err := e.check(w); err != nil {
+			if err := e.checkJoin(w, len(li)); err != nil {
 				return nil, err
 			}
 		}
@@ -330,7 +339,7 @@ func (e *Engine) nestLoopJoin(left, right *Result, lk, rk [][]int64, w *Work) ([
 				ri = append(ri, int32(b))
 			}
 		}
-		if err := e.check(w); err != nil {
+		if err := e.checkJoin(w, len(li)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -365,10 +374,8 @@ func (e *Engine) hashJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int
 				ri = append(ri, int32(b))
 			}
 		}
-		if a%4096 == 0 {
-			if err := e.check(w); err != nil {
-				return nil, nil, err
-			}
+		if err := e.checkJoin(w, len(li)); err != nil {
+			return nil, nil, err
 		}
 	}
 	return li, ri, nil
@@ -412,7 +419,7 @@ func (e *Engine) mergeJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]in
 						ri = append(ri, ro[y])
 					}
 				}
-				if err := e.check(w); err != nil {
+				if err := e.checkJoin(w, len(li)); err != nil {
 					return nil, nil, err
 				}
 			}

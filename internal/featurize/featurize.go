@@ -8,8 +8,8 @@
 // vector itself (which episode trajectories retain and therefore must be
 // fresh): PairMask memoizes the per-forest-size action masks on the Space
 // (they are pure functions of the forest size), and Scratch carries the
-// per-episode working maps — alias positions, depth weights, subtree alias
-// sets — that the naive encoding would reallocate at every state.
+// per-query alias positions and selectivities and the per-episode subtree
+// cardinalities that the naive encoding would recompute at every state.
 package featurize
 
 import (
@@ -17,18 +17,20 @@ import (
 	"sort"
 	"sync"
 
+	"handsfree/internal/cost"
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
 )
 
 // Estimator is the slice of cardinality estimation featurization needs:
-// the predicate-selectivity block and the per-subtree cardinality block.
-// Both the exact histogram estimator (*stats.Estimator) and the
-// sketch-backed one (*sketch.Estimator) satisfy it, so the same learned
-// featurization runs on either statistics source.
+// filter selectivities for the predicate block, and the cardinality source
+// cost.SubsetCard reads for the per-subtree cardinality block. Both the
+// exact histogram estimator (*stats.Estimator) and the sketch-backed one
+// (*sketch.Estimator) satisfy it, so the same learned featurization runs on
+// either statistics source.
 type Estimator interface {
+	cost.CardSource
 	BaseSelectivity(q *query.Query, alias string) float64
-	SubsetCard(q *query.Query, aliases map[string]bool) float64
 }
 
 // Space is a fixed-size featurization context: it pins the maximum relation
@@ -76,27 +78,22 @@ func AliasIndex(q *query.Query) []string {
 }
 
 // Scratch holds the reusable working state of featurization: the alias→index
-// map and cached base selectivities of the current query, the depth-weight
-// accumulator, and memos of subtree alias sets and cardinalities keyed by
-// plan node. One Scratch belongs to one environment (it is not
-// concurrency-safe); call Reset at each episode start so the per-node memos
-// do not retain the previous episode's plan nodes. The zero value is ready
-// to use.
+// map and cached base selectivities of the current query, and a memo of
+// subtree cardinalities keyed by relation set. One Scratch belongs to one
+// environment (it is not concurrency-safe); call Reset at each episode
+// start. The zero value is ready to use.
 type Scratch struct {
-	q       *query.Query
-	names   []string
-	idx     map[string]int
-	sels    []float64
-	weights map[string]float64
-	aliases map[plan.Node]map[string]bool
-	cards   map[plan.Node]float64
+	q     *query.Query
+	names []string
+	idx   map[string]int
+	sels  []float64
+	cards map[query.RelSet]float64
 }
 
-// Reset drops per-episode state (the subtree alias-set and cardinality
-// memos). The per-query alias index and selectivity cache survive: they are
-// keyed by query pointer and revalidated on use.
+// Reset drops per-episode state (the subtree cardinality memo). The
+// per-query alias index and selectivity cache survive: they are keyed by
+// query pointer and revalidated on use.
 func (sc *Scratch) Reset() {
-	clear(sc.aliases)
 	clear(sc.cards)
 }
 
@@ -127,52 +124,25 @@ func (sc *Scratch) prepare(q *query.Query, est Estimator) map[string]int {
 		sc.sels = append(sc.sels, est.BaseSelectivity(q, a))
 	}
 	sc.q = q
+	clear(sc.cards)
 	return sc.idx
 }
 
-// cardOf returns the estimated cardinality of a subtree, memoized per node.
-// Nodes are immutable and the memo is cleared per episode, so within an
+// cardOf returns the estimated cardinality of a subtree, memoized per
+// relation set. The memo is cleared per episode and per query, so within an
 // episode only newly joined subtrees pay the estimator walk; re-encoding an
 // unchanged forest (every state revisits all current roots) is lookup-only.
 func (sc *Scratch) cardOf(q *query.Query, est Estimator, n plan.Node) float64 {
-	if c, ok := sc.cards[n]; ok {
+	s := n.Rels()
+	if c, ok := sc.cards[s]; ok {
 		return c
 	}
-	c := est.SubsetCard(q, sc.aliasesOf(n))
+	c := cost.SubsetCard(q, est, s)
 	if sc.cards == nil {
-		sc.cards = make(map[plan.Node]float64, 16)
+		sc.cards = make(map[query.RelSet]float64, 16)
 	}
-	sc.cards[n] = c
+	sc.cards[s] = c
 	return c
-}
-
-// aliasesOf returns the alias set of a subtree, memoized per node. Join trees
-// grow bottom-up during an episode, so the memo turns the naive recursive
-// recomputation (one fresh map per interior node per state) into one map per
-// node per episode, with joined nodes merged from their memoized children.
-func (sc *Scratch) aliasesOf(n plan.Node) map[string]bool {
-	if m, ok := sc.aliases[n]; ok {
-		return m
-	}
-	var m map[string]bool
-	switch t := n.(type) {
-	case *plan.Join:
-		l, r := sc.aliasesOf(t.Left), sc.aliasesOf(t.Right)
-		m = make(map[string]bool, len(l)+len(r))
-		for a := range l {
-			m[a] = true
-		}
-		for a := range r {
-			m[a] = true
-		}
-	default:
-		m = n.Aliases()
-	}
-	if sc.aliases == nil {
-		sc.aliases = make(map[plan.Node]map[string]bool, 16)
-	}
-	sc.aliases[n] = m
-	return m
 }
 
 // JoinState encodes the current forest of join subtrees. The subtree block
@@ -201,20 +171,11 @@ func (s *Space) JoinStateInto(dst []float64, q *query.Query, forest []plan.Node,
 	idx := sc.prepare(q, s.Est)
 
 	// Subtree block.
-	if sc.weights == nil {
-		sc.weights = make(map[string]float64, n)
-	}
 	for row, tree := range forest {
 		if row >= n {
 			break
 		}
-		clear(sc.weights)
-		depthWeights(tree, 0, sc.weights)
-		for alias, w := range sc.weights {
-			if i, ok := idx[alias]; ok && i < n {
-				features[row*n+i] = w
-			}
-		}
+		depthWeights(tree, 0, idx, features[row*n:(row+1)*n])
 	}
 	// Join-graph block.
 	off := n * n
@@ -284,29 +245,19 @@ func (s *Space) buildPairMask(forestSize int) []bool {
 // ConnectedPairMask is PairMask restricted to pairs connected by at least
 // one join predicate (used when cross products are disallowed). If no
 // connected pair exists, it falls back to the unrestricted mask so episodes
-// can always finish.
-func (s *Space) ConnectedPairMask(q *query.Query, forest []plan.Node) []bool {
-	return s.ConnectedPairMaskScratch(q, forest, nil)
-}
-
-// ConnectedPairMaskScratch is ConnectedPairMask reusing a Scratch's subtree
-// alias-set memo. The mask itself is freshly allocated (it varies with join
+// can always finish. The mask is freshly allocated (it varies with join
 // structure and is retained by trajectories); the fallback returns the
 // shared PairMask cache entry, which callers must treat as read-only.
-func (s *Space) ConnectedPairMaskScratch(q *query.Query, forest []plan.Node, sc *Scratch) []bool {
-	if sc == nil {
-		sc = &Scratch{}
-	}
+func (s *Space) ConnectedPairMask(q *query.Query, forest []plan.Node) []bool {
 	n := s.MaxRels
 	mask := make([]bool, n*n)
 	any := false
 	for x := 0; x < len(forest) && x < n; x++ {
-		ax := sc.aliasesOf(forest[x])
 		for y := 0; y < len(forest) && y < n; y++ {
 			if x == y {
 				continue
 			}
-			if q.HasJoinBetween(ax, sc.aliasesOf(forest[y])) {
+			if q.HasJoinBetween(forest[x].Rels(), forest[y].Rels()) {
 				mask[x*n+y] = true
 				any = true
 			}
@@ -328,14 +279,17 @@ func (s *Space) EncodeAction(x, y int) int {
 	return x*s.MaxRels + y
 }
 
-// depthWeights assigns 1/2^depth to every relation in the subtree.
-func depthWeights(n plan.Node, depth int, out map[string]float64) {
+// depthWeights writes 1/2^depth of every relation in the subtree into row,
+// at the relation's feature index.
+func depthWeights(n plan.Node, depth int, idx map[string]int, row []float64) {
 	switch n := n.(type) {
 	case *plan.Scan:
-		out[n.Alias] = 1 / float64(int64(1)<<uint(depth))
+		if i, ok := idx[n.Alias]; ok && i < len(row) {
+			row[i] = 1 / float64(int64(1)<<uint(depth))
+		}
 	default:
 		for _, c := range n.Children() {
-			depthWeights(c, depth+1, out)
+			depthWeights(c, depth+1, idx, row)
 		}
 	}
 }

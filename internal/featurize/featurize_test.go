@@ -216,6 +216,37 @@ func TestCardinalityBlock(t *testing.T) {
 	}
 }
 
+// TestCardinalityBlockIsFixedOrderProduct: each subtree's cardinality
+// feature is the log-scaled product of its relations' base cardinalities in
+// q.Relations order and its inner join selectivities in q.Joins order.
+func TestCardinalityBlockIsFixedOrderProduct(t *testing.T) {
+	s, q := fixture(t)
+	f := initialForest(q)
+	ab := plan.JoinNodes(q, plan.HashJoin, f[1], f[0])
+	abc := plan.JoinNodes(q, plan.HashJoin, f[2], ab)
+	off := 2*16 + 4
+	var sc Scratch
+	for _, forest := range [][]plan.Node{{f[2], ab}, {abc}} {
+		v := s.JoinStateInto(make([]float64, s.ObsDim()), q, forest, &sc)
+		for row, tree := range forest {
+			card := 1.0
+			for _, r := range q.Relations {
+				if tree.Rels()&q.Rel(r.Alias) != 0 {
+					card *= s.Est.BaseCard(q, r.Alias)
+				}
+			}
+			for _, j := range q.Joins {
+				if tree.Rels()&q.Rel(j.LeftAlias) != 0 && tree.Rels()&q.Rel(j.RightAlias) != 0 {
+					card *= s.Est.JoinSelectivity(q, j)
+				}
+			}
+			if want := math.Log10(max(card, 1)+1) / 10; v[off+row] != want {
+				t.Fatalf("row %d cardinality feature = %v, want %v", row, v[off+row], want)
+			}
+		}
+	}
+}
+
 func TestFeatureVectorFinite(t *testing.T) {
 	s, q := fixture(t)
 	v := s.JoinState(q, initialForest(q))

@@ -15,16 +15,15 @@ import (
 // backend choice.
 //
 // The zero value (EngineAuto) resolves through the HANDSFREE_ENGINE
-// environment variable, falling back to the build-tag default (see
-// engine_default.go): EngineReference unless the binary was built with
-// -tags handsfree_blocked. Existing callers that never pick an engine keep
-// the reference kernels' numerics bit for bit, while CI sweeps the whole
-// suite through the blocked kernels with one env var.
+// environment variable, falling back to EngineReference. Existing callers
+// that never pick an engine keep the reference kernels' numerics bit for
+// bit, while CI sweeps the whole suite through the blocked kernels with one
+// env var.
 type Engine uint8
 
 const (
 	// EngineAuto defers to DefaultEngine (the HANDSFREE_ENGINE environment
-	// variable, or the build-tag default when unset).
+	// variable, or EngineReference when unset).
 	EngineAuto Engine = iota
 	// EngineReference is the pure-Go generic kernel set (MatMul/MatMulATB/
 	// MatMulABT as shipped before the engine seam): the bitwise-deterministic
@@ -74,19 +73,14 @@ func ParseEngine(s string) (Engine, error) {
 var defaultEngine = sync.OnceValue(func() Engine {
 	e, err := ParseEngine(os.Getenv("HANDSFREE_ENGINE"))
 	if err != nil || e == EngineAuto {
-		return buildDefaultEngine
+		return EngineReference
 	}
 	return e
 })
 
 // DefaultEngine returns the engine EngineAuto resolves to: the value of the
-// HANDSFREE_ENGINE environment variable at first use, or the build-tag
-// default (EngineReference, or EngineBlocked under -tags handsfree_blocked).
+// HANDSFREE_ENGINE environment variable at first use, or EngineReference.
 func DefaultEngine() Engine { return defaultEngine() }
-
-// BuildDefaultEngine returns the compiled-in engine default — what
-// DefaultEngine falls back to when HANDSFREE_ENGINE is unset.
-func BuildDefaultEngine() Engine { return buildDefaultEngine }
 
 // Resolve maps EngineAuto to DefaultEngine and returns concrete engines
 // unchanged.

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"handsfree/internal/plan"
@@ -237,6 +238,50 @@ func TestWarmStartSkipsColdSweep(t *testing.T) {
 	for i := range coldPlans {
 		if coldPlans[i] != warmPlans[i] || coldCosts[i] != warmCosts[i] {
 			t.Fatalf("restored result %d differs from the cold sweep", i)
+		}
+	}
+}
+
+// TestCacheKeepsRelationOrdersApart: a query declared with its relations in
+// another order has the same fingerprint but indexes relation sets
+// differently, so plans served through a shared cache must carry the sets
+// of the query that asked for them.
+func TestCacheKeepsRelationOrdersApart(t *testing.T) {
+	p, cached, w := cacheFixture(t)
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range workload.Fig3bNames() {
+		q := w.MustNamed(name)
+		rev := *q
+		rev.Relations = slices.Clone(q.Relations)
+		slices.Reverse(rev.Relations)
+		for _, qq := range []*query.Query{q, &rev} {
+			planned, err := cached.Plan(qq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed, _ := cached.CompletePhysical(qq, RandomOrder(q, rng))
+			for _, root := range []plan.Node{planned.Root, completed} {
+				plan.Walk(root, func(n plan.Node) {
+					switch n := n.(type) {
+					case *plan.Scan:
+						if n.Rels() != qq.Rel(n.Alias) {
+							t.Fatalf("%s: scan %s carries set %b, want %b", name, n.Alias, n.Rels(), qq.Rel(n.Alias))
+						}
+					case *plan.Join:
+						if n.Rels() != n.Left.Rels()|n.Right.Rels() {
+							t.Fatalf("%s: join set %b is not the union of its inputs", name, n.Rels())
+						}
+					}
+				})
+			}
+		}
+		want, err := p.Plan(&rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := cached.Plan(&rev)
+		if got.Root.Signature() != want.Root.Signature() || got.Cost != want.Cost {
+			t.Fatalf("%s: cached plan of the reordered query differs from the uncached one", name)
 		}
 	}
 }

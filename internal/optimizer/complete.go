@@ -9,14 +9,20 @@ import (
 	"handsfree/internal/query"
 )
 
-// completionFP returns the query fingerprint used to key completion cache
-// entries; it is only meaningful (and only computed) when a cache is
-// attached.
-func (p *Planner) completionFP(q *query.Query) uint64 {
+// cacheFP returns the query fingerprint that keys q's cache entries (0
+// without a cache): the order-invariant query fingerprint folded with the
+// relation order. Cached plan nodes carry relation sets indexed by
+// q.Relations, so two declarations of one logical query in different FROM
+// orders must not share entries.
+func (p *Planner) cacheFP(q *query.Query) uint64 {
 	if p.Cache == nil {
 		return 0
 	}
-	return p.Cache.FingerprintOf(q)
+	h := p.Cache.FingerprintOf(q)
+	for _, r := range q.Relations {
+		h = (h ^ plancache.HashString(r.Alias)) * 1099511628211
+	}
+	return h
 }
 
 // skeletonHashes computes every subtree's structural hash in one walk
@@ -71,7 +77,7 @@ func (p *Planner) CompleteOperators(q *query.Query, skeleton plan.Node) (plan.No
 // completion calls instead of once per call. A nil memo behaves exactly
 // like CompleteOperators.
 func (p *Planner) CompleteOperatorsMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
-	e := p.completeOps(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
+	e := p.completeOps(q, p.cacheFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
 }
 
@@ -113,7 +119,7 @@ func (p *Planner) CompleteAccess(q *query.Query, skeleton plan.Node) (plan.Node,
 // CompleteAccessMemo is CompleteAccess with a caller-maintained per-episode
 // skeleton-hash memo; see CompleteOperatorsMemo.
 func (p *Planner) CompleteAccessMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
-	e := p.completeAccess(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
+	e := p.completeAccess(q, p.cacheFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
 }
 
@@ -150,7 +156,7 @@ func (p *Planner) CostFixed(q *query.Query, root plan.Node, agg plan.AggAlgo) (p
 func (p *Planner) CostFixedMemo(q *query.Query, root plan.Node, agg plan.AggAlgo, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
 	if p.Cache != nil {
 		k := plancache.Key{
-			Query:    p.Cache.FingerprintOf(q),
+			Query:    p.cacheFP(q),
 			Skeleton: plancache.HashSubtreesMemo(root, memo),
 			Mode:     plancache.ModeCostFixed,
 			Aux:      uint8(agg),

@@ -22,49 +22,18 @@ func (p *Planner) planDP(ctx context.Context, q *query.Query) (plan.Node, cost.N
 	if n > 20 {
 		return nil, cost.NodeCost{}, fmt.Errorf("optimizer: %d relations exceeds DP capacity", n)
 	}
-	aliases := make([]string, n)
-	for i, r := range q.Relations {
-		aliases[i] = r.Alias
-	}
-	aliasBit := make(map[string]uint32, n)
-	for i, a := range aliases {
-		aliasBit[a] = 1 << i
-	}
-
-	// Join-graph connectivity as bitmasks.
-	adj := make([]uint32, n)
-	for _, j := range q.Joins {
-		l, r := aliasBit[j.LeftAlias], aliasBit[j.RightAlias]
-		for i := 0; i < n; i++ {
-			if l == 1<<i {
-				adj[i] |= r
-			}
-			if r == 1<<i {
-				adj[i] |= l
-			}
-		}
-	}
-	connectedTo := func(mask uint32) uint32 {
-		var out uint32
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				out |= adj[i]
-			}
-		}
-		return out &^ mask
-	}
-
+	adj := q.Adjacency()
 	allowCross := p.crossNeeded(q)
-	best := make(map[uint32]entry, 1<<n)
-	for i, a := range aliases {
-		node, nc := p.BestScan(q, a)
+	best := make(map[query.RelSet]entry, 1<<n)
+	for i, r := range q.Relations {
+		node, nc := p.BestScan(q, r.Alias)
 		best[1<<i] = entry{node, nc}
 	}
 
-	full := uint32(1<<n) - 1
+	full := q.AllRels()
 	// Enumerate subsets in increasing popcount order via plain increasing
 	// masks (every proper submask of m is < m).
-	for mask := uint32(1); mask <= full; mask++ {
+	for mask := query.RelSet(1); mask <= full; mask++ {
 		if err := ctx.Err(); err != nil {
 			return nil, cost.NodeCost{}, err
 		}
@@ -86,7 +55,7 @@ func (p *Planner) planDP(ctx context.Context, q *query.Query) (plan.Node, cost.N
 			}
 			// Require a join predicate between the halves unless the query's
 			// graph forces a cross product.
-			if connectedTo(sub)&other == 0 && !allowCross {
+			if adj.Neighbors(sub)&other == 0 && !allowCross {
 				continue
 			}
 			cand := p.BestJoin(q, le, re)
@@ -140,8 +109,7 @@ func (p *Planner) planGreedy(ctx context.Context, q *query.Query, rng *rand.Rand
 					continue
 				}
 				// Skip cross products while a connected pair exists.
-				preds := q.JoinsBetween(items[i].node.Aliases(), items[j].node.Aliases())
-				if len(preds) == 0 {
+				if !q.HasJoinBetween(items[i].node.Rels(), items[j].node.Rels()) {
 					continue
 				}
 				cands = append(cands, cand{i, j, p.BestJoin(q, items[i], items[j])})
@@ -236,7 +204,7 @@ func (p *Planner) CompletePhysical(q *query.Query, skeleton plan.Node) (plan.Nod
 // each episode reuses hashes (and the map allocation) instead of re-walking
 // the skeleton.
 func (p *Planner) CompletePhysicalMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
-	e := p.completeEntry(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
+	e := p.completeEntry(q, p.cacheFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
 }
 

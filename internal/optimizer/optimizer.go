@@ -181,7 +181,7 @@ func (p *Planner) PlanWithCtx(ctx context.Context, q *query.Query, s Strategy) (
 	var key plancache.Key
 	if p.Cache != nil {
 		key = plancache.Key{
-			Query: p.Cache.FingerprintOf(q),
+			Query: p.cacheFP(q),
 			Mode:  plancache.ModePlan,
 			Aux:   p.planAux(effective),
 		}

@@ -108,8 +108,8 @@ var AggAlgos = []AggAlgo{HashAgg, SortAgg}
 
 // Node is a physical plan operator.
 type Node interface {
-	// Aliases returns the set of relation aliases produced by this subtree.
-	Aliases() map[string]bool
+	// Rels returns the set of the query's relations this subtree produces.
+	Rels() query.RelSet
 	// Children returns the operator's inputs.
 	Children() []Node
 	// Signature returns a canonical string unique to the physical subtree.
@@ -125,12 +125,14 @@ type Scan struct {
 	IndexColumn string
 	// Filters are the pushed-down predicates on this relation.
 	Filters []query.Filter
+	// Set is the scanned relation's singleton set in its query.
+	Set query.RelSet
 
 	sig sigCache
 }
 
-// Aliases returns the single-alias set for the scan.
-func (s *Scan) Aliases() map[string]bool { return map[string]bool{s.Alias: true} }
+// Rels returns the scanned relation's singleton set.
+func (s *Scan) Rels() query.RelSet { return s.Set }
 
 // Children returns nil; scans are leaves.
 func (s *Scan) Children() []Node { return nil }
@@ -154,21 +156,14 @@ type Join struct {
 	// Preds are the equality predicates applied at this join. Empty means a
 	// cross product.
 	Preds []query.Join
+	// Set is the union of both inputs' relation sets.
+	Set query.RelSet
 
 	sig sigCache
 }
 
-// Aliases returns the union of both inputs' alias sets.
-func (j *Join) Aliases() map[string]bool {
-	out := map[string]bool{}
-	for a := range j.Left.Aliases() {
-		out[a] = true
-	}
-	for a := range j.Right.Aliases() {
-		out[a] = true
-	}
-	return out
-}
+// Rels returns the union of both inputs' relation sets.
+func (j *Join) Rels() query.RelSet { return j.Set }
 
 // Children returns the left and right inputs.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
@@ -195,8 +190,8 @@ type Agg struct {
 	sig sigCache
 }
 
-// Aliases returns the child's alias set.
-func (a *Agg) Aliases() map[string]bool { return a.Child.Aliases() }
+// Rels returns the child's relation set.
+func (a *Agg) Rels() query.RelSet { return a.Child.Rels() }
 
 // Children returns the single input.
 func (a *Agg) Children() []Node { return []Node{a.Child} }
@@ -305,17 +300,20 @@ func BuildScan(q *query.Query, alias string, access AccessPath, indexColumn stri
 		Access:      access,
 		IndexColumn: indexColumn,
 		Filters:     q.FiltersOn(alias),
+		Set:         q.Rel(alias),
 	}
 }
 
 // JoinNodes combines two subtrees with the given algorithm, attaching every
 // join predicate of q that spans them.
 func JoinNodes(q *query.Query, algo JoinAlgo, left, right Node) *Join {
+	l, r := left.Rels(), right.Rels()
 	return &Join{
 		Algo:  algo,
 		Left:  left,
 		Right: right,
-		Preds: q.JoinsBetween(left.Aliases(), right.Aliases()),
+		Preds: q.JoinsBetween(l, r),
+		Set:   l | r,
 	}
 }
 

@@ -70,12 +70,15 @@ func TestCrossProductDetection(t *testing.T) {
 	}
 }
 
-func TestAliasesUnion(t *testing.T) {
+func TestRelsUnion(t *testing.T) {
 	q := demoQuery()
 	root := leftDeep(q, NestLoop, "t", "mc", "cn")
-	al := root.Aliases()
-	if len(al) != 3 || !al["t"] || !al["mc"] || !al["cn"] {
-		t.Fatalf("aliases = %v", al)
+	if got, want := root.Rels(), q.AllRels(); got != want {
+		t.Fatalf("Rels = %b, want %b", got, want)
+	}
+	sub := JoinNodes(q, HashJoin, BuildScan(q, "cn", SeqScan, ""), BuildScan(q, "mc", SeqScan, ""))
+	if got, want := sub.Rels(), q.Rel("mc")|q.Rel("cn"); got != want || want.Len() != 2 {
+		t.Fatalf("Rels(cn ⋈ mc) = %b, want %b", got, want)
 	}
 }
 

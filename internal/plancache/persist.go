@@ -19,7 +19,9 @@ import (
 // exactly.
 
 // savedCacheVersion is the wire-format version of the persisted cache.
-const savedCacheVersion = 1
+// Version 2 added the relation sets of plan nodes (plan.Scan.Set,
+// plan.Join.Set); a version-1 dump would restore them empty.
+const savedCacheVersion = 2
 
 // savedEntry is one persisted (key, entry) pair.
 type savedEntry struct {

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -67,10 +68,10 @@ func TestAdmissionThresholdSkipsCheapSubtrees(t *testing.T) {
 // persisted entry round-trips scans, joins, and aggregation.
 func buildTree() plan.Node {
 	left := &plan.Scan{Alias: "t", Table: "title", Access: plan.IndexScan, IndexColumn: "id",
-		Filters: []query.Filter{{Alias: "t", Column: "year", Op: query.Gt, Value: 1990}}}
-	right := &plan.Scan{Alias: "mc", Table: "movie_companies"}
+		Filters: []query.Filter{{Alias: "t", Column: "year", Op: query.Gt, Value: 1990}}, Set: 1}
+	right := &plan.Scan{Alias: "mc", Table: "movie_companies", Set: 2}
 	join := &plan.Join{Algo: plan.HashJoin, Left: left, Right: right,
-		Preds: []query.Join{{LeftAlias: "t", LeftCol: "id", RightAlias: "mc", RightCol: "movie_id"}}}
+		Preds: []query.Join{{LeftAlias: "t", LeftCol: "id", RightAlias: "mc", RightCol: "movie_id"}}, Set: 3}
 	return &plan.Agg{Algo: plan.HashAgg, Child: join,
 		Aggregates: []query.Aggregate{{Kind: query.AggCount}}}
 }
@@ -104,6 +105,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if e1.Plan.Signature() != tree.Signature() {
 		t.Fatalf("restored plan signature %q differs from original %q", e1.Plan.Signature(), tree.Signature())
+	}
+	restored := e1.Plan.(*plan.Agg).Child.(*plan.Join)
+	if restored.Rels() != 3 || restored.Left.Rels() != 1 || restored.Right.Rels() != 2 {
+		t.Fatalf("restored relation sets %b/%b/%b, want 11/1/10", restored.Rels(), restored.Left.Rels(), restored.Right.Rels())
 	}
 	if e2, ok := dst.Get(pure2); !ok || e2.Cost.Total != 42 {
 		t.Fatalf("pure entry 2 mangled: ok=%v cost=%v", ok, e2.Cost.Total)
@@ -155,6 +160,21 @@ func TestLoadRejectsBadData(t *testing.T) {
 	}
 	if _, err := c.Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), 0); err == nil {
 		t.Fatal("truncated dump loaded without error")
+	}
+}
+
+// TestLoadRejectsOldVersion: a dump written before plan nodes carried
+// relation sets would restore nodes with empty sets, so it is refused.
+func TestLoadRejectsOldVersion(t *testing.T) {
+	registerPlanNodes()
+	var buf bytes.Buffer
+	old := savedCache{Version: 1, Tag: 77, Entries: []savedEntry{{Key: Key{Query: 1, Mode: ModePlan}, Entry: Entry{Plan: buildTree()}}}}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Capacity: 16, Shards: 2})
+	if _, err := c.Load(&buf, 77); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 dump: err = %v, want an unsupported-version error", err)
 	}
 }
 

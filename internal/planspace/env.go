@@ -286,7 +286,7 @@ func (e *Env) mask() []bool {
 		nAlgo := e.Layout.JoinAlgoCount()
 		var connected []bool
 		if e.Cfg.DisallowCross {
-			connected = e.Cfg.Space.ConnectedPairMaskScratch(e.cur, e.forest, &e.scratch)
+			connected = e.Cfg.Space.ConnectedPairMask(e.cur, e.forest)
 		}
 		for x := 0; x < len(e.forest); x++ {
 			for y := 0; y < len(e.forest); y++ {

@@ -1,6 +1,7 @@
 package planspace
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"slices"
@@ -139,6 +140,29 @@ func TestGreedyPlanDeterministic(t *testing.T) {
 	q := f.queries[0]
 	if c1, c2 := greedyPlan(env, agent, q).Cost, greedyPlan(env, agent, q).Cost; c1 != c2 {
 		t.Fatalf("greedy inference not deterministic: %v vs %v", c1, c2)
+	}
+}
+
+// TestSameSeedTrainingIsReproducible: training is a pure function of its
+// seeds, so reruns of one configuration must end with bitwise-identical
+// policies. The state's cardinality block multiplies floats over relation
+// sets; any iteration order not fixed by the query (a map's, say) makes
+// reruns drift apart in the last bits and then in the learned weights.
+func TestSameSeedTrainingIsReproducible(t *testing.T) {
+	f := joinOrderFixture(t, 8, 4, 8)
+	var first []byte
+	for run := 0; run < 8; run++ {
+		env, agent := f.joinOrderAgent(rl.ReinforceConfig{Hidden: []int{32}, Seed: 3})
+		train(t, env, agent, 400, 1)
+		data, err := agent.MarshalPolicy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Fatalf("run %d ended with a different policy than run 0", run)
+		}
 	}
 }
 

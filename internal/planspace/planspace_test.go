@@ -339,7 +339,7 @@ func TestMaskAlwaysHasValidAction(t *testing.T) {
 								continue
 							}
 							x, y, _ := env.Layout.DecodeJoin(a)
-							if !env.cur.HasJoinBetween(env.forest[x].Aliases(), env.forest[y].Aliases()) {
+							if !env.cur.HasJoinBetween(env.forest[x].Rels(), env.forest[y].Rels()) {
 								t.Fatalf("stage %d: DisallowCross enabled a cross-product join of subtrees %d and %d", k, x, y)
 							}
 						}

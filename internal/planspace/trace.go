@@ -2,9 +2,9 @@ package planspace
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
+	"handsfree/internal/featurize"
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
@@ -52,7 +52,7 @@ func (e *Env) Replay(q *query.Query, expert plan.Node) (rl.Trajectory, Outcome, 
 // action vocabulary.
 func (e *Env) planActions(q *query.Query, expert plan.Node) ([]int, error) {
 	var actions []int
-	aliases := aliasIndexOf(q)
+	aliases := featurize.AliasIndex(q)
 
 	// Leaf access decisions, in alias order (the env's cursor order).
 	if e.Cfg.Stages.AccessPaths {
@@ -60,7 +60,7 @@ func (e *Env) planActions(q *query.Query, expert plan.Node) ([]int, error) {
 		for _, l := range plan.Leaves(expert) {
 			leafOf[l.Alias] = l
 		}
-		for i, a := range aliases {
+		for _, a := range aliases {
 			l, ok := leafOf[a]
 			if !ok {
 				return nil, fmt.Errorf("planspace: expert plan lacks relation %s", a)
@@ -70,24 +70,20 @@ func (e *Env) planActions(q *query.Query, expert plan.Node) ([]int, error) {
 			if !opts.valid[choice] {
 				choice = AccessSeq
 			}
-			_ = i
 			actions = append(actions, e.Layout.AccessOffset()+choice)
 		}
 	}
 
 	// Join decisions: simulate the forest and emit pair actions bottom-up.
-	forest := make([]string, len(aliases)) // alias-set keys, forest order
+	forest := make([]query.RelSet, len(aliases)) // subtree relation sets, forest order
 	for i, a := range aliases {
-		forest[i] = a
+		forest[i] = q.Rel(a)
 	}
-	joins := joinSequence(expert)
-	for _, jn := range joins {
-		lKey := aliasKey(jn.Left.Aliases())
-		rKey := aliasKey(jn.Right.Aliases())
-		x := indexOf(forest, lKey)
-		y := indexOf(forest, rKey)
+	for _, jn := range joinSequence(expert) {
+		l, r := jn.Left.Rels(), jn.Right.Rels()
+		x, y := slices.Index(forest, l), slices.Index(forest, r)
 		if x < 0 || y < 0 {
-			return nil, fmt.Errorf("planspace: cannot locate subtrees %q/%q in forest", lKey, rKey)
+			return nil, fmt.Errorf("planspace: cannot locate subtrees %b/%b in forest", l, r)
 		}
 		algoIdx := 0
 		if e.Cfg.Stages.JoinOps {
@@ -95,13 +91,13 @@ func (e *Env) planActions(q *query.Query, expert plan.Node) ([]int, error) {
 		}
 		actions = append(actions, e.Layout.EncodeJoin(x, y, algoIdx))
 		// Mirror the env's forest mutation: remove x and y, append the join.
-		var next []string
+		var next []query.RelSet
 		for i, k := range forest {
 			if i != x && i != y {
 				next = append(next, k)
 			}
 		}
-		forest = append(next, aliasKey(jn.Aliases()))
+		forest = append(next, l|r)
 	}
 
 	// Aggregation decision.
@@ -135,32 +131,5 @@ func joinSequence(n plan.Node) []*plan.Join {
 		}
 	}
 	walk(n)
-	return out
-}
-
-func aliasKey(aliases map[string]bool) string {
-	keys := make([]string, 0, len(aliases))
-	for a := range aliases {
-		keys = append(keys, a)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
-}
-
-func indexOf(forest []string, key string) int {
-	for i, k := range forest {
-		if k == key {
-			return i
-		}
-	}
-	return -1
-}
-
-func aliasIndexOf(q *query.Query) []string {
-	out := make([]string, len(q.Relations))
-	for i, r := range q.Relations {
-		out[i] = r.Alias
-	}
-	sort.Strings(out)
 	return out
 }

@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -146,43 +147,53 @@ func (q *Query) FiltersOn(alias string) []Filter {
 	return out
 }
 
-// JoinsBetween returns all join predicates connecting any alias in left with
-// any alias in right.
-func (q *Query) JoinsBetween(left, right map[string]bool) []Join {
+// JoinsBetween returns all join predicates connecting a relation in left
+// with a relation in right.
+func (q *Query) JoinsBetween(left, right RelSet) []Join {
 	var out []Join
 	for _, j := range q.Joins {
-		if (left[j.LeftAlias] && right[j.RightAlias]) || (left[j.RightAlias] && right[j.LeftAlias]) {
+		if q.spans(j, left, right) {
 			out = append(out, j)
 		}
 	}
 	return out
 }
 
-// HasJoinBetween reports whether any join predicate connects an alias in
-// left with an alias in right — JoinsBetween's allocation-free form for
-// callers that only need connectivity (the featurization hot path).
-func (q *Query) HasJoinBetween(left, right map[string]bool) bool {
+// HasJoinBetween reports whether any join predicate connects a relation in
+// left with a relation in right — JoinsBetween's allocation-free form for
+// callers that only need connectivity.
+func (q *Query) HasJoinBetween(left, right RelSet) bool {
 	for _, j := range q.Joins {
-		if (left[j.LeftAlias] && right[j.RightAlias]) || (left[j.RightAlias] && right[j.LeftAlias]) {
+		if q.spans(j, left, right) {
 			return true
 		}
 	}
 	return false
 }
 
-// Adjacency returns, for each alias, the set of aliases it joins with.
-func (q *Query) Adjacency() map[string]map[string]bool {
-	adj := make(map[string]map[string]bool, len(q.Relations))
-	for _, r := range q.Relations {
-		adj[r.Alias] = map[string]bool{}
+// spans reports whether predicate j has one end in left and the other in
+// right.
+func (q *Query) spans(j Join, left, right RelSet) bool {
+	l := q.Rel(j.LeftAlias)
+	if l&(left|right) == 0 {
+		return false
 	}
+	r := q.Rel(j.RightAlias)
+	return (l&left != 0 && r&right != 0) || (l&right != 0 && r&left != 0)
+}
+
+// Adjacency returns the query's join graph: entry i is the set of relations
+// joined with relation i.
+func (q *Query) Adjacency() JoinGraph {
+	g := make(JoinGraph, len(q.Relations))
 	for _, j := range q.Joins {
-		if adj[j.LeftAlias] != nil && adj[j.RightAlias] != nil {
-			adj[j.LeftAlias][j.RightAlias] = true
-			adj[j.RightAlias][j.LeftAlias] = true
+		l, r := q.Rel(j.LeftAlias), q.Rel(j.RightAlias)
+		if l != 0 && r != 0 {
+			g[bits.TrailingZeros64(uint64(l))] |= r
+			g[bits.TrailingZeros64(uint64(r))] |= l
 		}
 	}
-	return adj
+	return g
 }
 
 // Connected reports whether the join graph over the query's relations is
@@ -191,25 +202,20 @@ func (q *Query) Connected() bool {
 	if len(q.Relations) == 0 {
 		return true
 	}
-	adj := q.Adjacency()
-	seen := map[string]bool{q.Relations[0].Alias: true}
-	frontier := []string{q.Relations[0].Alias}
-	for len(frontier) > 0 {
-		cur := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for n := range adj[cur] {
-			if !seen[n] {
-				seen[n] = true
-				frontier = append(frontier, n)
-			}
-		}
+	g := q.Adjacency()
+	seen := RelSet(1)
+	for grown := g.Neighbors(seen); grown != 0; grown = g.Neighbors(seen) {
+		seen |= grown
 	}
-	return len(seen) == len(q.Relations)
+	return seen == q.AllRels()
 }
 
-// Validate checks internal consistency: unique aliases, and every predicate
-// referencing a declared alias.
+// Validate checks internal consistency: at most MaxRelations relations,
+// unique aliases, and every predicate referencing a declared alias.
 func (q *Query) Validate() error {
+	if len(q.Relations) > MaxRelations {
+		return fmt.Errorf("query: %d relations exceeds the limit of %d", len(q.Relations), MaxRelations)
+	}
 	aliases := map[string]bool{}
 	for _, r := range q.Relations {
 		if aliases[r.Alias] {

@@ -64,8 +64,8 @@ func TestConnected(t *testing.T) {
 
 func TestJoinsBetween(t *testing.T) {
 	q := demoQuery()
-	left := map[string]bool{"t": true}
-	right := map[string]bool{"mc": true, "cn": true}
+	left := q.Rel("t")
+	right := q.Rel("mc") | q.Rel("cn")
 	js := q.JoinsBetween(left, right)
 	if len(js) != 1 {
 		t.Fatalf("JoinsBetween = %v, want exactly the t–mc join", js)
@@ -73,9 +73,11 @@ func TestJoinsBetween(t *testing.T) {
 	if js[0].LeftCol != "movie_id" {
 		t.Fatalf("unexpected join %v", js[0])
 	}
+	if !q.HasJoinBetween(right, left) || q.HasJoinBetween(left, q.Rel("cn")) {
+		t.Fatal("HasJoinBetween disagrees with JoinsBetween")
+	}
 	// Joins entirely inside one side are excluded.
-	all := map[string]bool{"t": true, "mc": true, "cn": true}
-	if got := q.JoinsBetween(all, map[string]bool{}); len(got) != 0 {
+	if got := q.JoinsBetween(q.AllRels(), 0); len(got) != 0 {
 		t.Fatalf("JoinsBetween(all, none) = %v, want empty", got)
 	}
 }
@@ -139,11 +141,12 @@ func TestFiltersOn(t *testing.T) {
 func TestAdjacency(t *testing.T) {
 	q := demoQuery()
 	adj := q.Adjacency()
-	if !adj["t"]["mc"] || !adj["mc"]["t"] || !adj["mc"]["cn"] {
+	tt, mc, cn := q.Rel("t"), q.Rel("mc"), q.Rel("cn")
+	if adj[0] != mc || adj[1] != tt|cn || adj[2] != mc {
 		t.Fatalf("adjacency wrong: %v", adj)
 	}
-	if adj["t"]["cn"] {
-		t.Fatal("t and cn should not be adjacent")
+	if got := adj.Neighbors(tt); got != mc {
+		t.Fatalf("Neighbors(t) = %b, want mc", got)
 	}
 }
 

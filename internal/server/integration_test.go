@@ -80,36 +80,40 @@ func quickLifecycle() handsfree.LifecycleConfig {
 }
 
 // TestIntegrationDeadline504MidDPSweep maps a per-request deadline onto the
-// Plan(ctx) cancellation path: a 12-relation DP sweep (~200ms uncancelled)
-// under a 120ms timeout_ms must surface as a 504 in well under 2× the
-// deadline, proving the enumeration loop's context checks cut the search
-// off mid-sweep rather than running it to completion.
+// Plan(ctx) cancellation path: a 12-relation DP sweep under a timeout_ms of
+// a third of its uncancelled planning time must surface as a 504 in well
+// under 2× the deadline, proving the enumeration loop's context checks cut
+// the search off mid-sweep rather than running it to completion. Deriving
+// the deadline from the measured sweep keeps the test meaningful on hosts
+// of any speed.
 func TestIntegrationDeadline504MidDPSweep(t *testing.T) {
 	svc := newTestTenant(t, 3)
 	_, ts := newTestServer(t, Config{}, map[string]*handsfree.Service{"solo": svc})
 	client := ts.Client()
 	sql := twelveRelSQL(t, svc)
 
-	const deadline = 120 * time.Millisecond
+	// The query completes under a generous deadline, proving the 504 below
+	// is a mid-sweep cancellation and not a broken query.
+	var plan PlanResponse
 	start := time.Now()
-	var er ErrorResponse
 	resp := postJSON(t, client, ts.URL+"/plansql",
+		PlanRequest{SQL: sql, TimeoutMs: 30_000}, &plan)
+	full := time.Since(start)
+	if resp.StatusCode != http.StatusOK || plan.Cost <= 0 {
+		t.Fatalf("unbounded plan: status %d %+v", resp.StatusCode, plan)
+	}
+
+	deadline := max(full/3, time.Millisecond).Truncate(time.Millisecond)
+	start = time.Now()
+	var er ErrorResponse
+	resp = postJSON(t, client, ts.URL+"/plansql",
 		PlanRequest{SQL: sql, TimeoutMs: deadline.Milliseconds()}, &er)
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusGatewayTimeout || er.Error.Code != "deadline_exceeded" {
-		t.Fatalf("status %d body %+v (want 504 deadline_exceeded)", resp.StatusCode, er)
+		t.Fatalf("status %d body %+v (want 504 deadline_exceeded; uncancelled plan took %v)", resp.StatusCode, er, full)
 	}
 	if elapsed >= 2*deadline {
-		t.Fatalf("504 took %v, want < 2× the %v deadline", elapsed, deadline)
-	}
-
-	// The same query under a generous deadline completes, proving the 504
-	// was a mid-sweep cancellation and not a broken query.
-	var plan PlanResponse
-	resp = postJSON(t, client, ts.URL+"/plansql",
-		PlanRequest{SQL: sql, TimeoutMs: 30_000}, &plan)
-	if resp.StatusCode != http.StatusOK || plan.Cost <= 0 {
-		t.Fatalf("unbounded replan: status %d %+v", resp.StatusCode, plan)
+		t.Fatalf("504 took %v, want < 2× the %v deadline (uncancelled plan took %v)", elapsed, deadline, full)
 	}
 
 	// The 504 is counted.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"handsfree"
+	"handsfree/internal/query"
 )
 
 // newTestTenant builds a small-scale service with a 4-query workload.
@@ -255,6 +256,36 @@ func TestMalformedRequestsAre400WithStructuredErrors(t *testing.T) {
 		}}, &er)
 	if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
 		t.Fatalf("unknown column: status %d body %+v", resp.StatusCode, er)
+	}
+}
+
+// TestTooManyRelationsIs400: a query wider than query.MaxRelations cannot
+// be described by a relation set, so /plansql and /plan refuse it with a
+// structured 400 instead of planning it.
+func TestTooManyRelationsIs400(t *testing.T) {
+	svc := newTestTenant(t, 3)
+	_, ts := newTestServer(t, Config{}, map[string]*handsfree.Service{"solo": svc})
+	client := ts.Client()
+	n := query.MaxRelations + 1
+	rels := make([]string, n)
+	wire := make([]WireRelation, n)
+	for i := range rels {
+		rels[i] = fmt.Sprintf("title t%d", i)
+		wire[i] = WireRelation{Table: "title", Alias: fmt.Sprintf("t%d", i)}
+	}
+	for _, req := range []struct {
+		path string
+		body PlanRequest
+	}{
+		{"/plansql", PlanRequest{SQL: "SELECT * FROM " + strings.Join(rels, ", ")}},
+		{"/plan", PlanRequest{Query: &WireQuery{Relations: wire}}},
+	} {
+		var er ErrorResponse
+		resp := postJSON(t, client, ts.URL+req.path, req.body, &er)
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" ||
+			!strings.Contains(er.Error.Message, "exceeds") {
+			t.Fatalf("%s with %d relations: status %d body %+v, want a structured 400", req.path, n, resp.StatusCode, er)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"handsfree/internal/cost"
 	"handsfree/internal/datagen"
 	"handsfree/internal/query"
 	"handsfree/internal/sketch"
@@ -84,11 +85,7 @@ func TestSketchEstimatorMirrorsExact(t *testing.T) {
 			t.Errorf("JoinSelectivity(%s): sketch %g vs exact %g", j, aj, ej)
 		}
 	}
-	all := map[string]bool{}
-	for _, rel := range q.Relations {
-		all[rel.Alias] = true
-	}
-	es, as := exact.SubsetCard(q, all), approx.SubsetCard(q, all)
+	es, as := cost.SubsetCard(q, exact, q.AllRels()), cost.SubsetCard(q, approx, q.AllRels())
 	if qerr(es, as) > 2.0 {
 		t.Errorf("SubsetCard(all): sketch %g vs exact %g (q-error %.2f)", as, es, qerr(es, as))
 	}

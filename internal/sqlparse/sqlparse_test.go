@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"handsfree/internal/datagen"
@@ -97,6 +99,25 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(sql); err == nil {
 			t.Fatalf("accepted invalid SQL %q", sql)
 		}
+	}
+}
+
+// TestParseRejectsTooManyRelations: a relation set has one bit per
+// relation, so a FROM list wider than query.MaxRelations is a parse error,
+// and the widest one allowed parses.
+func TestParseRejectsTooManyRelations(t *testing.T) {
+	from := func(n int) string {
+		rels := make([]string, n)
+		for i := range rels {
+			rels[i] = fmt.Sprintf("title t%d", i)
+		}
+		return "SELECT * FROM " + strings.Join(rels, ", ")
+	}
+	if _, err := Parse(from(query.MaxRelations)); err != nil {
+		t.Fatalf("%d relations: %v", query.MaxRelations, err)
+	}
+	if _, err := Parse(from(query.MaxRelations + 1)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("%d relations: err = %v, want a relation-limit error", query.MaxRelations+1, err)
 	}
 }
 

@@ -116,26 +116,6 @@ func (e *Estimator) JoinSelectivity(q *query.Query, j query.Join) float64 {
 	return 1 / float64(m)
 }
 
-// SubsetCard estimates the cardinality of joining the given set of aliases,
-// applying every join predicate fully contained in the set:
-//
-//	card = Π base(r) × Π sel(join edges within the set)
-func (e *Estimator) SubsetCard(q *query.Query, aliases map[string]bool) float64 {
-	card := 1.0
-	for a := range aliases {
-		card *= e.BaseCard(q, a)
-	}
-	for _, j := range q.Joins {
-		if aliases[j.LeftAlias] && aliases[j.RightAlias] {
-			card *= e.JoinSelectivity(q, j)
-		}
-	}
-	if card < 1 {
-		card = 1
-	}
-	return card
-}
-
 // TableRows reports the analyzed (or cataloged) row count of a table.
 func (e *Estimator) TableRows(table string) int64 { return e.tableRows(table) }
 

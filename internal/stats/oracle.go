@@ -113,25 +113,6 @@ func (o *Oracle) TrueJoinSelectivity(q *query.Query, j query.Join) float64 {
 	return sel
 }
 
-// TrueSubsetCard returns the cardinality execution would observe for a join
-// over the given alias set (product form, like the estimator, but with true
-// selectivities).
-func (o *Oracle) TrueSubsetCard(q *query.Query, aliases map[string]bool) float64 {
-	card := 1.0
-	for a := range aliases {
-		card *= o.TrueBaseCard(q, a)
-	}
-	for _, j := range q.Joins {
-		if aliases[j.LeftAlias] && aliases[j.RightAlias] {
-			card *= o.TrueJoinSelectivity(q, j)
-		}
-	}
-	if card < 1 {
-		card = 1
-	}
-	return card
-}
-
 // BaseCard implements the cost model's CardSource with true cardinalities.
 func (o *Oracle) BaseCard(q *query.Query, alias string) float64 {
 	return o.TrueBaseCard(q, alias)
@@ -145,19 +126,3 @@ func (o *Oracle) JoinSelectivity(q *query.Query, j query.Join) float64 {
 
 // TableRows implements the cost model's CardSource (row counts are exact).
 func (o *Oracle) TableRows(table string) int64 { return o.Est.TableRows(table) }
-
-// QError returns the q-error between the estimator and the oracle for a
-// subset: max(est/true, true/est) ≥ 1. Used in tests and diagnostics to
-// confirm the error field compounds with join count.
-func (o *Oracle) QError(q *query.Query, aliases map[string]bool) float64 {
-	est := o.Est.SubsetCard(q, aliases)
-	truth := o.TrueSubsetCard(q, aliases)
-	if est <= 0 || truth <= 0 {
-		return math.Inf(1)
-	}
-	r := est / truth
-	if r < 1 {
-		r = 1 / r
-	}
-	return r
-}

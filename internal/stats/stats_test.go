@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"handsfree/internal/catalog"
+	"handsfree/internal/cost"
 	"handsfree/internal/query"
 )
 
@@ -185,14 +186,14 @@ func TestEstimatorJoinCard(t *testing.T) {
 	e := NewEstimator(cat, st)
 	// mc ⋈ t on movie_id=id: sel = 1/max(ndv) = 1/1000.
 	// card ≈ 5000 × 500 / 1000 = 2500.
-	sub := map[string]bool{"t": true, "mc": true}
-	got := e.SubsetCard(q, sub)
+	sub := q.Rel("t") | q.Rel("mc")
+	got := cost.SubsetCard(q, e, sub)
 	if got < 1500 || got > 3500 {
 		t.Fatalf("SubsetCard(t,mc) = %v, want ≈ 2500", got)
 	}
 	// Cross product: no join predicate between t and cn.
-	cross := map[string]bool{"t": true, "cn": true}
-	crossCard := e.SubsetCard(q, cross)
+	cross := q.Rel("t") | q.Rel("cn")
+	crossCard := cost.SubsetCard(q, e, cross)
 	if crossCard < 80000 {
 		t.Fatalf("cross product card = %v, want ≈ 100000", crossCard)
 	}
@@ -214,12 +215,12 @@ func TestOracleDeterminism(t *testing.T) {
 	e := NewEstimator(cat, st)
 	o1 := NewOracle(e, 42)
 	o2 := NewOracle(e, 42)
-	sub := map[string]bool{"t": true, "mc": true, "cn": true}
-	if o1.TrueSubsetCard(q, sub) != o2.TrueSubsetCard(q, sub) {
+	sub := q.AllRels()
+	if cost.SubsetCard(q, o1, sub) != cost.SubsetCard(q, o2, sub) {
 		t.Fatal("oracle is not deterministic for equal seeds")
 	}
 	o3 := NewOracle(e, 43)
-	if o1.TrueSubsetCard(q, sub) == o3.TrueSubsetCard(q, sub) {
+	if cost.SubsetCard(q, o1, sub) == cost.SubsetCard(q, o3, sub) {
 		t.Fatal("different seeds produced identical truth (suspicious)")
 	}
 }
@@ -246,12 +247,19 @@ func TestOracleErrorCompoundsWithJoins(t *testing.T) {
 	n := 50
 	for seed := int64(0); seed < int64(n); seed++ {
 		o := NewOracle(e, seed)
-		small += math.Log(o.QError(q, map[string]bool{"t": true, "mc": true}))
-		large += math.Log(o.QError(q, map[string]bool{"t": true, "mc": true, "cn": true}))
+		small += math.Log(qError(o, q, q.Rel("t")|q.Rel("mc")))
+		large += math.Log(qError(o, q, q.AllRels()))
 	}
 	if large <= small {
 		t.Fatalf("q-error did not compound: 2-way %v vs 3-way %v (mean log)", small/float64(n), large/float64(n))
 	}
+}
+
+// qError is the q-error between the oracle's estimator and its truth for
+// a subset: max(est/true, true/est) ≥ 1.
+func qError(o *Oracle, q *query.Query, s query.RelSet) float64 {
+	est, truth := cost.SubsetCard(q, o.Est, s), cost.SubsetCard(q, o, s)
+	return max(est/truth, truth/est)
 }
 
 func TestOracleBoundsRespected(t *testing.T) {

@@ -47,7 +47,7 @@ const DefaultFallbackRatio = 1.2
 
 // serviceOptions is the state assembled by functional options.
 type serviceOptions struct {
-	cfg             Config
+	cfg             config
 	fallbackRatio   float64
 	workload        *workloadSpec
 	exec            ExecutionConfig
@@ -70,16 +70,6 @@ func WithSeed(seed int64) Option {
 // WithScale sets the database scale factor (default 1.0 ≈ 400k rows).
 func WithScale(scale float64) Option {
 	return func(o *serviceOptions) { o.cfg.Scale = scale }
-}
-
-// WithOracleSeed selects the systematic cardinality-error field (default 11).
-func WithOracleSeed(seed int64) Option {
-	return func(o *serviceOptions) { o.cfg.OracleSeed = seed }
-}
-
-// WithLatencySeed selects the execution-noise field (default 5).
-func WithLatencySeed(seed int64) Option {
-	return func(o *serviceOptions) { o.cfg.LatencySeed = seed }
 }
 
 // WithPrecision sets the default tensor-core precision for every learned
